@@ -64,10 +64,14 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DGPS_SANITIZE=address \
 # graph_intersect_test rides along for the simd kernels: unaligned
 # vector loads and scalar tails over arena block boundaries are exactly
 # where an out-of-bounds read would hide.
+# engine_merge_bits_test rides along for the ordered fold under the merge:
+# workers write per-edge terms into a shared window buffer that the
+# barrier's completion step folds — ASan checks every index stays inside
+# the window.
 cmake --build build-asan -j"$(nproc)" --target \
   engine_ring_buffer_test engine_sharded_test engine_checkpoint_test \
   engine_resume_test engine_steal_test engine_metrics_test \
-  engine_router_test \
+  engine_router_test engine_merge_bits_test \
   core_parallel_test core_serialize_test core_packed_store_test \
   graph_binary_stream_test graph_edge_list_test graph_intersect_test \
   util_parse_bytes_test cli_test gps_cli
@@ -90,13 +94,19 @@ cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DGPS_SANITIZE=thread \
 # graph_intersect_test rides along: per-shard IntersectMetrics counters
 # are relaxed atomics absorbed across the steal hand-off — TSan must
 # bless the counter absorb next to the reservoir merge.
+# engine_merge_bits_test is the ordered-fold stress: workers claim grains
+# through a relaxed counter and hand the window to the barrier's
+# completion step, which folds it and opens the next window — the
+# hand-off TSan must bless (core_parallel_test covers the same fold
+# under the post-stream pass).
 cmake --build build-tsan -j"$(nproc)" --target \
   engine_ring_buffer_test engine_sharded_test engine_steal_test \
-  engine_metrics_test engine_router_test core_parallel_test \
-  core_packed_store_test graph_binary_stream_test graph_intersect_test
+  engine_metrics_test engine_router_test engine_merge_bits_test \
+  core_parallel_test core_packed_store_test graph_binary_stream_test \
+  graph_intersect_test
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
   --timeout 300 \
-  -R 'engine_ring_buffer|engine_sharded|engine_steal|engine_metrics|engine_router|core_parallel|core_packed_store|graph_binary_stream|graph_intersect'
+  -R 'engine_ring_buffer|engine_sharded|engine_steal|engine_metrics|engine_router|engine_merge_bits|core_parallel|core_packed_store|graph_binary_stream|graph_intersect'
 
 echo "=== Scalar-only build (-DGPS_SIMD=OFF) + full ctest ==="
 # The vector kernels compiled out entirely (the non-x86 path). The full

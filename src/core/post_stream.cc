@@ -1,38 +1,16 @@
 #include "core/post_stream.h"
 
-#include <algorithm>
-#include <thread>
 #include <vector>
+
+#include "core/edge_terms.h"
 
 namespace gps {
 namespace {
 
-// Partial sums accumulated per edge; merged additively across edges (and
-// across threads in the parallel driver).
-struct PartialSums {
-  double n_tri = 0.0;
-  double v_tri = 0.0;
-  double c_tri = 0.0;
-  double n_wed = 0.0;
-  double v_wed = 0.0;
-  double c_wed = 0.0;
-  double cov_tw = 0.0;
-
-  void Merge(const PartialSums& other) {
-    n_tri += other.n_tri;
-    v_tri += other.v_tri;
-    c_tri += other.c_tri;
-    n_wed += other.n_wed;
-    v_wed += other.v_wed;
-    c_wed += other.c_wed;
-    cov_tw += other.cov_tw;
-  }
-};
-
-// Accumulates the localized estimators for one sampled edge k = (v1, v2)
-// (Algorithm 2 body; see the mapping notes below). The paper highlights
-// that these per-edge computations are independent and "Algorithm 2
-// already has abundant parallelism" — the parallel driver exploits exactly
+// The localized estimators for one sampled edge k = (v1, v2) (Algorithm 2
+// body; see the mapping notes below). The paper highlights that these
+// per-edge computations are independent and "Algorithm 2 already has
+// abundant parallelism" — EstimatePostStreamParallel exploits exactly
 // that independence.
 //
 // Mapping to Algorithm 2 of the paper:
@@ -60,8 +38,8 @@ struct PartialSums {
 //   (b) λ ⊂ τ (|τ∩λ| = 2): visiting τ at edge k pairs it with its
 //       contained wedge {k1, k2} (the two non-k edges); over the three
 //       visits of τ this covers each contained wedge exactly once.
-void AccumulateEdge(const GpsReservoir& reservoir,
-                    const GpsReservoir::EdgeRecord& rec, PartialSums* out) {
+EdgeTerms ComputeEdgeTerms(const GpsReservoir& reservoir,
+                           const GpsReservoir::EdgeRecord& rec) {
   const SampledGraph& graph = reservoir.graph();
   NodeId v1 = rec.edge.u;
   NodeId v2 = rec.edge.v;
@@ -122,71 +100,37 @@ void AccumulateEdge(const GpsReservoir& reservoir,
   });
 
   const double pair_factor = 2.0 * inv_q * (inv_q - 1.0);
-  out->n_tri += nk_tri;
-  out->v_tri += vk_tri;
-  out->c_tri += ck_tri * pair_factor;
-  out->n_wed += nk_wed;
-  out->v_wed += vk_wed;
-  out->c_wed += ck_wed * pair_factor;
-  out->cov_tw += (run_tri * run_wed - d_contained) * inv_q * (inv_q - 1.0);
-  out->cov_tw += covb;
-}
-
-GraphEstimates Finalize(const PartialSums& sums) {
-  GraphEstimates out;
-  out.triangles.value = sums.n_tri / 3.0;
-  out.triangles.variance = sums.v_tri / 3.0 + sums.c_tri;
-  out.wedges.value = sums.n_wed / 2.0;
-  out.wedges.variance = sums.v_wed / 2.0 + sums.c_wed;
-  out.tri_wedge_cov = sums.cov_tw;
-  return out;
+  EdgeTerms t;
+  t.n_tri = nk_tri;
+  t.v_tri = vk_tri;
+  t.c_tri = ck_tri * pair_factor;
+  t.n_wed = nk_wed;
+  t.v_wed = vk_wed;
+  t.c_wed = ck_wed * pair_factor;
+  t.cov_pairs = (run_tri * run_wed - d_contained) * inv_q * (inv_q - 1.0);
+  t.cov_contained = covb;
+  return t;
 }
 
 }  // namespace
 
 GraphEstimates EstimatePostStream(const GpsReservoir& reservoir) {
-  PartialSums sums;
-  reservoir.ForEachEdge([&](SlotId, const GpsReservoir::EdgeRecord& rec) {
-    AccumulateEdge(reservoir, rec, &sums);
-  });
-  return Finalize(sums);
+  return EstimatePostStreamParallel(reservoir, 1);
 }
 
 GraphEstimates EstimatePostStreamParallel(const GpsReservoir& reservoir,
                                           unsigned num_threads) {
-  if (num_threads <= 1 || reservoir.size() < 1024) {
-    return EstimatePostStream(reservoir);
-  }
-  // Snapshot the slot list, then let each worker accumulate a contiguous
-  // chunk into its own partial sums; per-edge work touches only const
-  // state, so no synchronization is needed beyond the final merge.
+  // Index the slots in ForEachEdge order; the ordered fold adds the
+  // per-edge terms in that order at any thread count.
   std::vector<SlotId> slots;
   slots.reserve(reservoir.size());
   reservoir.ForEachEdge(
       [&](SlotId slot, const GpsReservoir::EdgeRecord&) {
         slots.push_back(slot);
       });
-
-  const size_t workers =
-      std::min<size_t>(num_threads, std::max<size_t>(1, slots.size() / 256));
-  std::vector<PartialSums> partials(workers);
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  const size_t chunk = (slots.size() + workers - 1) / workers;
-  for (size_t w = 0; w < workers; ++w) {
-    threads.emplace_back([&, w] {
-      const size_t begin = w * chunk;
-      const size_t end = std::min(slots.size(), begin + chunk);
-      for (size_t i = begin; i < end; ++i) {
-        AccumulateEdge(reservoir, reservoir.Record(slots[i]), &partials[w]);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  PartialSums total;
-  for (const PartialSums& p : partials) total.Merge(p);
-  return Finalize(total);
+  return SumEdgeTerms(slots.size(), num_threads, [&](size_t i) {
+    return ComputeEdgeTerms(reservoir, reservoir.Record(slots[i]));
+  });
 }
 
 }  // namespace gps

@@ -30,10 +30,11 @@ inline GraphEstimates EstimatePostStream(const SampleView& view) {
   return EstimatePostStream(view.reservoir());
 }
 
-/// Parallel variant: partitions the per-edge accumulation (which the paper
-/// notes is embarrassingly parallel, Section 4 "Efficiency") across
-/// `num_threads` workers. Produces the same estimates as the serial
-/// version up to floating-point summation order.
+/// Parallel variant: computes the per-edge terms (which the paper notes
+/// are embarrassingly parallel, Section 4 "Efficiency") on up to
+/// `num_threads` threads and adds them in the serial pass's edge order
+/// (util/ordered_fold.h). Bit-identical to EstimatePostStream for every
+/// thread count; reservoirs of one fold window or less run serially.
 GraphEstimates EstimatePostStreamParallel(const GpsReservoir& reservoir,
                                           unsigned num_threads);
 

@@ -2,11 +2,15 @@
 
 #include <cassert>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
+#include "core/edge_terms.h"
 #include "core/local_counts.h"
 #include "graph/sampled_graph.h"
 #include "graph/types.h"
+#include "util/affinity.h"
+#include "util/ordered_fold.h"
 
 namespace gps {
 namespace {
@@ -66,7 +70,7 @@ MergedSample BuildMergedSample(std::span<const GpsReservoir* const> shards) {
   return BuildMergedSample(std::span<const ShardSampleRef>(PlainRefs(shards)));
 }
 
-// Mirrors PartialSums/AccumulateEdge of core/post_stream.cc (Algorithm 2
+// Mirrors ComputeEdgeTerms of core/post_stream.cc (Algorithm 2
 // localized per edge, with the triangle-wedge covariance of Eq. 12), with
 // two generalizations:
 //   * per-edge inclusion probabilities come from each edge's own shard
@@ -76,15 +80,8 @@ MergedSample BuildMergedSample(std::span<const GpsReservoir* const> shards) {
 //     subgraphs only, so cross terms pair spanning subgraphs with
 //     spanning subgraphs (within-shard subgraphs belong to the in-stream
 //     stratum and are estimated there).
-struct PartialSums {
-  double n_tri = 0.0, v_tri = 0.0, c_tri = 0.0;
-  double n_wed = 0.0, v_wed = 0.0, c_wed = 0.0;
-  double cov_tw = 0.0;
-};
-
 template <bool SpanOnly>
-void AccumulateMergedEdge(const MergedSample& sample, SlotId slot_k,
-                          PartialSums* out) {
+EdgeTerms MergedEdgeTerms(const MergedSample& sample, SlotId slot_k) {
   const MergedRecord& rec = sample.records[slot_k];
   const SampledGraph& graph = sample.graph;
   NodeId v1 = rec.edge.u;
@@ -156,33 +153,27 @@ void AccumulateMergedEdge(const MergedSample& sample, SlotId slot_k,
   });
 
   const double pair_factor = 2.0 * inv_q * (inv_q - 1.0);
-  out->n_tri += nk_tri;
-  out->v_tri += vk_tri;
-  out->c_tri += ck_tri * pair_factor;
-  out->n_wed += nk_wed;
-  out->v_wed += vk_wed;
-  out->c_wed += ck_wed * pair_factor;
-  out->cov_tw += (run_tri * run_wed - d_contained) * inv_q * (inv_q - 1.0);
-  out->cov_tw += covb;
+  EdgeTerms t;
+  t.n_tri = nk_tri;
+  t.v_tri = vk_tri;
+  t.c_tri = ck_tri * pair_factor;
+  t.n_wed = nk_wed;
+  t.v_wed = vk_wed;
+  t.c_wed = ck_wed * pair_factor;
+  t.cov_pairs = (run_tri * run_wed - d_contained) * inv_q * (inv_q - 1.0);
+  t.cov_contained = covb;
+  return t;
 }
 
-GraphEstimates Finalize(const PartialSums& sums) {
-  GraphEstimates out;
-  out.triangles.value = sums.n_tri / 3.0;
-  out.triangles.variance = sums.v_tri / 3.0 + sums.c_tri;
-  out.wedges.value = sums.n_wed / 2.0;
-  out.wedges.variance = sums.v_wed / 2.0 + sums.c_wed;
-  out.tri_wedge_cov = sums.cov_tw;
-  return out;
-}
-
+// The per-edge terms are independent (the paper's "abundant parallelism"),
+// so they are computed on every available core and folded in slot order:
+// bit-identical to the serial loop at any thread count.
 template <bool SpanOnly>
 GraphEstimates EstimateOverSample(const MergedSample& sample) {
-  PartialSums sums;
-  for (SlotId slot = 0; slot < sample.records.size(); ++slot) {
-    AccumulateMergedEdge<SpanOnly>(sample, slot, &sums);
-  }
-  return Finalize(sums);
+  const size_t n = sample.records.size();
+  return SumEdgeTerms(n, UnionPassThreads(n), [&](size_t slot) {
+    return MergedEdgeTerms<SpanOnly>(sample, static_cast<SlotId>(slot));
+  });
 }
 
 template <bool SpanOnly>
@@ -275,6 +266,12 @@ std::vector<MotifAccumulator> EstimateCrossShardMotifs(
     const UnionSample& sample, std::span<const std::string> motif_names) {
   return CrossShardMotifsOverSample(sample.impl_->sample,
                                     sample.num_shards(), motif_names);
+}
+
+size_t UnionPassThreads(size_t num_edges) {
+  size_t cpus = AvailableCpus().size();
+  if (cpus == 0) cpus = std::thread::hardware_concurrency();
+  return OrderedFoldWorkers(num_edges, cpus);
 }
 
 GraphEstimates SumShardEstimates(std::span<const GraphEstimates> shards) {

@@ -120,10 +120,19 @@ GraphEstimates EstimateCrossShard(
 GraphEstimates EstimateCrossShard(const UnionSample& sample);
 
 /// Post-stream estimates of ALL subgraphs from the union of the shard
-/// reservoirs. With a single shard this matches EstimatePostStream up to
-/// floating-point summation order.
+/// reservoirs. With a single shard this equals EstimatePostStream bit for
+/// bit (same edge order, same per-edge terms).
 GraphEstimates EstimateMergedPostStream(
     std::span<const GpsReservoir* const> shards);
+
+/// Threads the union-sample passes above (EstimateCrossShard,
+/// EstimateMergedPostStream) run on for a union of `num_edges` edges: the
+/// process's available CPUs (util/affinity.h; hardware_concurrency() when
+/// the mask is unreadable), capped at the number of fold windows
+/// (util/ordered_fold.h), so a union of one window or less stays serial.
+/// The passes fold per-edge terms in slot order, so their results are
+/// bit-identical at every thread count.
+size_t UnionPassThreads(size_t num_edges);
 
 /// Element-wise sum of two estimate sets from independent strata.
 GraphEstimates AddEstimates(const GraphEstimates& a, const GraphEstimates& b);

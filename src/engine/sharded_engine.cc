@@ -645,6 +645,8 @@ void ShardedEngine::RegisterObservability() {
   metrics_.AddGauge("reservoir.zstar", &derived_.zstar_max);
   metrics_.AddGauge("reservoir.sample_size", &derived_.sample_size_total);
   metrics_.AddGauge("merge.union_sample_size", &derived_.union_sample_size);
+  metrics_.AddGauge("merge.threads", &merge_threads_);
+  metrics_.AddHistogram("merge.cross_latency", &merge_cross_latency_);
   metrics_.AddGauge("worker.busy_seconds", &derived_.busy_seconds_max);
   metrics_.AddGauge("worker.idle_seconds", &derived_.idle_seconds_max);
   metrics_.AddGauge("store.arena_bytes", &derived_.arena_bytes_total);
@@ -738,8 +740,22 @@ GraphEstimates ShardedEngine::MergedGraphEstimatesOver(
   for (const auto& shard : shards_) {
     per_shard.push_back(shard->InStreamEstimates());
   }
-  return AddEstimates(SumShardEstimates(per_shard),
-                      EstimateCrossShard(sample));
+  GraphEstimates cross;
+  {
+    TraceSpan span(options_.trace, producer_trace_buf_, "merge.cross");
+    span.SetArg("edges", static_cast<int64_t>(sample.num_edges()));
+    ScopedLatencyTimer timer(&merge_cross_latency_);
+    merge_threads_.Set(
+        static_cast<double>(UnionPassThreads(sample.num_edges())));
+    cross = EstimateCrossShard(sample);
+  }
+  return AddEstimates(SumShardEstimates(per_shard), cross);
+}
+
+UnionSample ShardedEngine::BuildUnion() {
+  TraceSpan span(options_.trace, producer_trace_buf_, "merge.union_build");
+  return BuildUnionSample(
+      std::span<const ShardSampleRef>(CollectSampleRefs()));
 }
 
 std::vector<MotifEstimate> ShardedEngine::MergedMotifEstimatesOver(
@@ -766,8 +782,7 @@ GraphEstimates ShardedEngine::MergedEstimates() {
   if (options_.merge_mode == MergeMode::kPostStreamMerged) {
     return EstimateMergedPostStream(CollectReservoirs());
   }
-  return MergedGraphEstimatesOver(
-      BuildUnionSample(std::span<const ShardSampleRef>(CollectSampleRefs())));
+  return MergedGraphEstimatesOver(BuildUnion());
 }
 
 std::vector<MotifEstimate> ShardedEngine::MergedMotifEstimates() {
@@ -779,8 +794,7 @@ std::vector<MotifEstimate> ShardedEngine::MergedMotifEstimates() {
     return {};
   }
   if (!finished_) Drain();
-  return MergedMotifEstimatesOver(
-      BuildUnionSample(std::span<const ShardSampleRef>(CollectSampleRefs())));
+  return MergedMotifEstimatesOver(BuildUnion());
 }
 
 double ShardedEngine::MergedEdgeCountEstimate() {
@@ -834,14 +848,17 @@ Status ShardedEngine::SerializeShards(const std::string& dir) {
                            ": " + ec.message());
   }
 
-  // Stage every file under a temporary name and rename only once all
-  // payloads are fully on disk: a write failure (disk full, I/O error)
-  // mid-checkpoint must leave the previous checkpoint in `dir` intact —
-  // the periodic auto-checkpoint path rewrites the same directory, so a
-  // destroyed checkpoint means a destroyed resume point. (A crash inside
-  // the final rename sequence can still mix generations; the per-file
-  // digests make the mix detectable — resume refuses — rather than
-  // silent.)
+  // Stage every file under a temporary name and rename only once every
+  // payload has been written and closed without a stream error: a write
+  // failure the stream reports (disk full, I/O error) mid-checkpoint must
+  // leave the previous checkpoint in `dir` intact — the periodic
+  // auto-checkpoint path rewrites the same directory, so a destroyed
+  // checkpoint means a destroyed resume point. Nothing is fsynced (files
+  // or directory): the staged bytes may still be only in the page cache
+  // when the renames publish them, so a power loss can leave published
+  // files short or missing. (A crash inside the final rename sequence can
+  // also mix generations; the per-file digests make both cases
+  // detectable — resume refuses — rather than silent.)
   struct StagedFile {
     std::filesystem::path tmp;
     std::filesystem::path final;
@@ -914,7 +931,7 @@ Status ShardedEngine::SerializeShards(const std::string& dir) {
     return st;
   }
 
-  // Everything is on disk; publish. Shard files first, manifest last, so
+  // Everything is staged; publish. Shard files first, manifest last, so
   // an interrupted publish leaves at worst a digest-detectable mix.
   for (const StagedFile& f : staged) {
     std::error_code ec;
@@ -1059,8 +1076,7 @@ void ShardedEngine::FirePeriodicHooks() {
       // One drain, one union-sample build for both passes: ticks fire on
       // every period, so the O(sample) index must not be built twice.
       if (!finished_) Drain();
-      const UnionSample sample =
-          BuildUnionSample(std::span<const ShardSampleRef>(CollectSampleRefs()));
+      const UnionSample sample = BuildUnion();
       record.estimates = MergedGraphEstimatesOver(sample);
       record.motifs = MergedMotifEstimatesOver(sample);
     }

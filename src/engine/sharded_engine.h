@@ -133,10 +133,11 @@ struct ShardedEngineOptions {
   bool pin_threads = false;
   /// Optional Chrome-trace recorder (util/trace.h). When set, every worker
   /// gets a per-thread span buffer ("batch"/"steal"/"rebind" spans) and
-  /// the producer thread records "estimate" and "checkpoint" spans; the
-  /// sink must outlive the engine, and the caller writes the JSON after
-  /// Finish(). Null (default) disables tracing entirely. Observation-only:
-  /// tracing never changes the sample path.
+  /// the producer thread records "estimate", "checkpoint",
+  /// "merge.union_build" and "merge.cross" spans; the sink must outlive
+  /// the engine, and the caller writes the JSON after Finish(). Null
+  /// (default) disables tracing entirely. Observation-only: tracing never
+  /// changes the sample path.
   TraceEventSink* trace = nullptr;
 };
 
@@ -448,6 +449,9 @@ class ShardedEngine {
   GraphEstimates MergedGraphEstimatesOver(const UnionSample& sample);
   std::vector<MotifEstimate> MergedMotifEstimatesOver(
       const UnionSample& sample);
+  /// BuildUnionSample over the drained shards, in a "merge.union_build"
+  /// producer trace span.
+  UnionSample BuildUnion();
 
   ShardedEngineOptions options_;
   StealMode effective_steal_ = StealMode::kDisabled;
@@ -492,6 +496,10 @@ class ShardedEngine {
     Gauge intersect_comparisons_saved;
   };
   DerivedGauges derived_;
+  /// merge.cross_latency: wall time of each cross-shard pass.
+  LatencyHistogram merge_cross_latency_;
+  /// merge.threads: threads the last cross-shard pass ran on.
+  Gauge merge_threads_;
   /// Per-stratum (per-shard) sample sizes: merge.sample_size.shard<k>.
   std::vector<Gauge> shard_sample_size_;
   TraceBuffer* producer_trace_buf_ = nullptr;  // producer-thread spans

@@ -1,6 +1,8 @@
-// Tests for parallel post-stream estimation: agreement with the serial
-// implementation across thread counts and reservoir sizes.
+// Tests for parallel post-stream estimation: bit-identical to the serial
+// implementation at every thread count and reservoir size.
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,12 +11,13 @@
 #include "core/post_stream.h"
 #include "gen/generators.h"
 #include "graph/stream.h"
+#include "util/ordered_fold.h"
 
 namespace gps {
 namespace {
 
 GpsSampler SampleGraph(size_t capacity, uint64_t seed) {
-  EdgeList graph = GenerateBarabasiAlbert(800, 8, 0.5, 701).value();
+  EdgeList graph = GenerateBarabasiAlbert(6000, 8, 0.5, 701).value();
   const std::vector<Edge> stream = MakePermutedStream(graph, 702);
   GpsSamplerOptions options;
   options.capacity = capacity;
@@ -24,40 +27,42 @@ GpsSampler SampleGraph(size_t capacity, uint64_t seed) {
   return sampler;
 }
 
-void ExpectClose(const GraphEstimates& a, const GraphEstimates& b) {
-  const double tol = 1e-9;
-  EXPECT_NEAR(a.triangles.value, b.triangles.value,
-              tol * (1.0 + std::abs(a.triangles.value)));
-  EXPECT_NEAR(a.triangles.variance, b.triangles.variance,
-              tol * (1.0 + std::abs(a.triangles.variance)));
-  EXPECT_NEAR(a.wedges.value, b.wedges.value,
-              tol * (1.0 + std::abs(a.wedges.value)));
-  EXPECT_NEAR(a.wedges.variance, b.wedges.variance,
-              tol * (1.0 + std::abs(a.wedges.variance)));
-  EXPECT_NEAR(a.tri_wedge_cov, b.tri_wedge_cov,
-              tol * (1.0 + std::abs(a.tri_wedge_cov)));
+void ExpectSameBits(double a, double b, const char* what) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(a), std::bit_cast<uint64_t>(b))
+      << what << ": " << std::hexfloat << a << " vs " << b;
+}
+
+void ExpectBitIdentical(const GraphEstimates& a, const GraphEstimates& b) {
+  ExpectSameBits(a.triangles.value, b.triangles.value, "triangles");
+  ExpectSameBits(a.triangles.variance, b.triangles.variance,
+                 "triangle variance");
+  ExpectSameBits(a.wedges.value, b.wedges.value, "wedges");
+  ExpectSameBits(a.wedges.variance, b.wedges.variance, "wedge variance");
+  ExpectSameBits(a.tri_wedge_cov, b.tri_wedge_cov, "tri-wedge covariance");
 }
 
 class ParallelPostStreamTest : public ::testing::TestWithParam<unsigned> {};
 
-TEST_P(ParallelPostStreamTest, MatchesSerialEstimates) {
-  const GpsSampler sampler = SampleGraph(2000, 703);
+TEST_P(ParallelPostStreamTest, MatchesSerialEstimatesBitForBit) {
+  // Several fold windows, so every thread count above 1 really splits
+  // the pass.
+  const GpsSampler sampler = SampleGraph(30000, 703);
+  ASSERT_GE(sampler.reservoir().size(), 3 * kOrderedFoldWindow);
   const GraphEstimates serial = EstimatePostStream(sampler.reservoir());
   const GraphEstimates parallel =
       EstimatePostStreamParallel(sampler.reservoir(), GetParam());
-  ExpectClose(serial, parallel);
+  ExpectBitIdentical(serial, parallel);
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelPostStreamTest,
-                         ::testing::Values(1u, 2u, 4u, 8u, 16u));
+                         ::testing::Values(1u, 2u, 3u, 4u, 8u, 16u));
 
 TEST(ParallelPostStreamTest, SmallReservoirFallsBackToSerial) {
-  const GpsSampler sampler = SampleGraph(200, 704);  // < parallel threshold
+  const GpsSampler sampler = SampleGraph(200, 704);  // < one fold window
   const GraphEstimates serial = EstimatePostStream(sampler.reservoir());
   const GraphEstimates parallel =
       EstimatePostStreamParallel(sampler.reservoir(), 8);
-  EXPECT_DOUBLE_EQ(serial.triangles.value, parallel.triangles.value);
-  EXPECT_DOUBLE_EQ(serial.wedges.value, parallel.wedges.value);
+  ExpectBitIdentical(serial, parallel);
 }
 
 TEST(ParallelPostStreamTest, EmptyReservoir) {

@@ -364,5 +364,39 @@ TEST(TraceTest, EngineRunProducesWorkerSpans) {
   EXPECT_NE(json.find("\"batch\""), std::string::npos);
 }
 
+// Every merged estimate shows its union build and cross pass on the
+// producer track and in the merge.* metrics, without a profiler.
+TEST(TraceTest, MergedEstimatesRecordMergeSpansAndMetrics) {
+  const std::filesystem::path dir = FreshDir("metrics", "merge_trace");
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "trace.json").string();
+
+  const std::vector<Edge> stream = TestStream(600, 8, 61, 62);
+  TraceEventSink sink;
+  ShardedEngineOptions options = EngineOptions(4, 200, 17);
+  options.trace = &sink;
+  ShardedEngine engine(options);
+  for (const Edge& e : stream) engine.Process(e);
+  engine.Finish();
+  engine.MergedEstimates();
+  engine.MergedEstimates();
+  ASSERT_TRUE(sink.WriteJson(path).ok());
+
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::string json = text.str();
+  EXPECT_NE(json.find("\"merge.union_build\""), std::string::npos);
+  EXPECT_NE(json.find("\"merge.cross\""), std::string::npos);
+
+  const MetricsSnapshot snap = engine.SnapshotMetrics();
+  if (!MetricsEnabled()) return;
+  MetricsSnapshot::HistogramValue cross;
+  ASSERT_TRUE(snap.FindHistogram("merge.cross_latency", &cross));
+  EXPECT_EQ(cross.count, 2u);
+  // A 200-edge union is under one fold window: the pass runs serially.
+  EXPECT_EQ(snap.GaugeOr0("merge.threads"), 1.0);
+}
+
 }  // namespace
 }  // namespace gps

@@ -304,11 +304,11 @@ TEST_P(ShardedAccuracyTest, MergedEstimatesAccurateAndCovered) {
 
   // K=1 is the serial in-stream estimator: exactly unbiased (Theorem 6),
   // no slack. For K>1 the cross-shard stratum is a post-stream HT pass
-  // against each shard's FINAL threshold, which carries the classic
-  // finite-capacity priority-sampling bias (the threshold is not fully
-  // independent of an edge's own priority; vanishes as capacity grows —
-  // observed ~0.7% here), so allow a small relative slack on top of the
-  // sampling tolerance.
+  // against each shard's FINAL threshold. No bias has been measured on
+  // this fixture: 1000 fresh-seed trials gave a triangle mean error of
+  // -0.01% (standard error 0.10%) at K=4. The 1.5% relative slack on top
+  // of the sampling tolerance is therefore a margin, not a measured
+  // effect.
   const double slack = k > 1 ? 0.015 : 0.0;
   tri.ExpectMeanNearExact(what + " triangles", 4.0, slack);
   wed.ExpectMeanNearExact(what + " wedges", 4.0, slack);
