@@ -68,10 +68,13 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DGPS_SANITIZE=address \
 # workers write per-edge terms into a shared window buffer that the
 # barrier's completion step folds — ASan checks every index stays inside
 # the window.
+# engine_union_refresh_test rides along for the persistent union index:
+# records are addressed by global slot (shard base + reservoir slot), and
+# a refresh reads each store's slot columns up to its capacity.
 cmake --build build-asan -j"$(nproc)" --target \
   engine_ring_buffer_test engine_sharded_test engine_checkpoint_test \
   engine_resume_test engine_steal_test engine_metrics_test \
-  engine_router_test engine_merge_bits_test \
+  engine_router_test engine_merge_bits_test engine_union_refresh_test \
   core_parallel_test core_serialize_test core_packed_store_test \
   graph_binary_stream_test graph_edge_list_test graph_intersect_test \
   util_parse_bytes_test cli_test gps_cli
@@ -99,14 +102,17 @@ cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DGPS_SANITIZE=thread \
 # completion step, which folds it and opens the next window — the
 # hand-off TSan must bless (core_parallel_test covers the same fold
 # under the post-stream pass).
+# engine_union_refresh_test refreshes the union index on the producer
+# after each drain while steal-mode workers stay alive, then runs the
+# threaded cross pass over it — TSan must bless the drain hand-off.
 cmake --build build-tsan -j"$(nproc)" --target \
   engine_ring_buffer_test engine_sharded_test engine_steal_test \
   engine_metrics_test engine_router_test engine_merge_bits_test \
-  core_parallel_test core_packed_store_test graph_binary_stream_test \
-  graph_intersect_test
+  engine_union_refresh_test core_parallel_test core_packed_store_test \
+  graph_binary_stream_test graph_intersect_test
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
   --timeout 300 \
-  -R 'engine_ring_buffer|engine_sharded|engine_steal|engine_metrics|engine_router|engine_merge_bits|core_parallel|core_packed_store|graph_binary_stream|graph_intersect'
+  -R 'engine_ring_buffer|engine_sharded|engine_steal|engine_metrics|engine_router|engine_merge_bits|engine_union_refresh|core_parallel|core_packed_store|graph_binary_stream|graph_intersect'
 
 echo "=== Scalar-only build (-DGPS_SIMD=OFF) + full ctest ==="
 # The vector kernels compiled out entirely (the non-x86 path). The full

@@ -20,42 +20,94 @@ namespace {
 // sharding guarantees shard samples are edge-disjoint, so AddEdge never
 // collides.
 //
+// Records are keyed by global slot (shard base + reservoir SlotId, see
+// UnionSample in merge.h); `order` lists the indexed slots in union order
+// (shard by shard, each in ForEachEdge heap order), the order every pass
+// folds its per-edge terms in.
+//
 // `stratum` packs (shard << 32 | sub-stratum): with empty sub-stratum
 // tables every edge of shard s carries stratum s<<32, so all stratum
 // comparisons below reduce to the classic shard comparisons bit for bit;
 // steal-mode engines supply per-slot batch ids as sub-strata.
 struct MergedRecord {
-  Edge edge;
+  Edge edge;            // the indexed edge; Edge{} (a self loop) if none
   double inv_q = 0.0;   // 1 / min{1, w / z*_shard}
   uint64_t stratum = 0;
+
+  bool indexed() const { return !edge.IsSelfLoop(); }
 };
 
 struct MergedSample {
   SampledGraph graph;
   std::vector<MergedRecord> records;
+  std::vector<SlotId> order;
+  /// bases[s] is shard s's first global slot; bases.back() the total.
+  std::vector<size_t> bases;
 };
 
-MergedSample BuildMergedSample(std::span<const ShardSampleRef> shards) {
-  MergedSample merged;
-  size_t total = 0;
-  for (const ShardSampleRef& ref : shards) total += ref.reservoir->size();
-  merged.records.reserve(total);
-  for (uint32_t s = 0; s < shards.size(); ++s) {
+// The one indexing routine (see RefreshUnionSample); returns the number
+// of slots un-indexed plus the number indexed.
+size_t RefreshMergedSample(std::span<const ShardSampleRef> shards,
+                           MergedSample* merged) {
+  std::vector<size_t> bases(shards.size() + 1, 0);
+  for (size_t s = 0; s < shards.size(); ++s) {
+    bases[s + 1] = bases[s] + shards[s].reservoir->store().slot_capacity();
+  }
+  assert(bases.back() < kNoSlot && "union slot space exceeds 32 bits");
+  size_t reindexed = 0;
+  if (bases != merged->bases) {
+    // A different shard layout: no global slot keeps its meaning.
+    reindexed = merged->order.size();
+    *merged = MergedSample{};
+    merged->bases = std::move(bases);
+    merged->records.resize(merged->bases.back());
+  }
+
+  // Pass 1: un-index every slot whose edge left or was replaced.
+  for (size_t s = 0; s < shards.size(); ++s) {
+    const PackedSampleStore& store = shards[s].reservoir->store();
+    MergedRecord* records = merged->records.data() + merged->bases[s];
+    const size_t num_slots = merged->bases[s + 1] - merged->bases[s];
+    for (SlotId slot = 0; slot < num_slots; ++slot) {
+      MergedRecord& rec = records[slot];
+      if (!rec.indexed()) continue;
+      if (slot < store.num_slots() && store.live(slot) &&
+          store.edge(slot) == rec.edge) {
+        continue;
+      }
+      merged->graph.RemoveEdge(rec.edge);
+      rec.edge = Edge{};
+      ++reindexed;
+    }
+  }
+
+  // Pass 2: index new edges, re-read every live slot's probability and
+  // stratum, and rebuild the union order.
+  merged->order.clear();
+  for (size_t s = 0; s < shards.size(); ++s) {
     const GpsReservoir& reservoir = *shards[s].reservoir;
     const std::span<const uint32_t> strata = shards[s].slot_strata;
     const uint64_t shard_bits = static_cast<uint64_t>(s) << 32;
+    const size_t base = merged->bases[s];
     reservoir.ForEachEdge(
-        [&](SlotId shard_slot, const GpsReservoir::EdgeRecord& rec) {
-          const double q = reservoir.ProbabilityForWeight(rec.weight);
-          const SlotId slot = static_cast<SlotId>(merged.records.size());
-          const uint64_t stratum =
+        [&](SlotId shard_slot, const GpsReservoir::EdgeRecord& edge_rec) {
+          const SlotId slot = static_cast<SlotId>(base + shard_slot);
+          MergedRecord& rec = merged->records[slot];
+          if (!rec.indexed()) {
+            rec.edge = edge_rec.edge;
+            [[maybe_unused]] const bool added =
+                merged->graph.AddEdge(edge_rec.edge, slot);
+            assert(added && "shard samples must be edge-disjoint");
+            ++reindexed;
+          }
+          rec.inv_q = 1.0 / reservoir.ProbabilityForWeight(edge_rec.weight);
+          rec.stratum =
               shard_bits |
               (shard_slot < strata.size() ? strata[shard_slot] : 0u);
-          merged.records.push_back({rec.edge, 1.0 / q, stratum});
-          merged.graph.AddEdge(rec.edge, slot);
+          merged->order.push_back(slot);
         });
   }
-  return merged;
+  return reindexed;
 }
 
 std::vector<ShardSampleRef> PlainRefs(
@@ -64,10 +116,6 @@ std::vector<ShardSampleRef> PlainRefs(
   refs.reserve(shards.size());
   for (const GpsReservoir* r : shards) refs.push_back({r, {}});
   return refs;
-}
-
-MergedSample BuildMergedSample(std::span<const GpsReservoir* const> shards) {
-  return BuildMergedSample(std::span<const ShardSampleRef>(PlainRefs(shards)));
 }
 
 // Mirrors ComputeEdgeTerms of core/post_stream.cc (Algorithm 2
@@ -170,31 +218,23 @@ EdgeTerms MergedEdgeTerms(const MergedSample& sample, SlotId slot_k) {
 // bit-identical to the serial loop at any thread count.
 template <bool SpanOnly>
 GraphEstimates EstimateOverSample(const MergedSample& sample) {
-  const size_t n = sample.records.size();
-  return SumEdgeTerms(n, UnionPassThreads(n), [&](size_t slot) {
-    return MergedEdgeTerms<SpanOnly>(sample, static_cast<SlotId>(slot));
+  const size_t n = sample.order.size();
+  return SumEdgeTerms(n, UnionPassThreads(n), [&](size_t i) {
+    return MergedEdgeTerms<SpanOnly>(sample, sample.order[i]);
   });
 }
 
-template <bool SpanOnly>
-GraphEstimates EstimateUnion(std::span<const GpsReservoir* const> shards) {
-  return EstimateOverSample<SpanOnly>(BuildMergedSample(shards));
-}
-
-/// The motif cross-shard pass over a prebuilt union sample; shared by
-/// both EstimateCrossShardMotifs overloads.
+/// The motif cross-shard pass over a union sample of >= 2 shards.
 std::vector<MotifAccumulator> CrossShardMotifsOverSample(
-    const MergedSample& sample, size_t num_shards,
-    std::span<const std::string> motif_names) {
+    const MergedSample& sample, std::span<const std::string> motif_names) {
   std::vector<MotifAccumulator> out(motif_names.size());
-  if (num_shards < 2 || motif_names.empty()) return out;
   for (size_t m = 0; m < motif_names.size(); ++m) {
     const MotifEntry* entry = FindMotif(motif_names[m]);
     assert(entry != nullptr && "unvalidated motif name");
     const InStreamMotifCounter::EnumerateFn enumerate =
         entry->make_enumerator();
     MotifAccumulator raw;
-    for (SlotId slot = 0; slot < sample.records.size(); ++slot) {
+    for (const SlotId slot : sample.order) {
       const MergedRecord& rec = sample.records[slot];
       // Treat each union-sampled edge as the enumerator's "arriving" edge:
       // the streaming enumerators report instances containing it without
@@ -232,29 +272,37 @@ struct UnionSample::Impl {
   MergedSample sample;
 };
 
-UnionSample::UnionSample(std::unique_ptr<Impl> impl, size_t num_shards)
-    : impl_(std::move(impl)), num_shards_(num_shards) {}
+UnionSample::UnionSample() = default;
 UnionSample::~UnionSample() = default;
 UnionSample::UnionSample(UnionSample&&) noexcept = default;
 UnionSample& UnionSample::operator=(UnionSample&&) noexcept = default;
 
 size_t UnionSample::num_edges() const {
-  return impl_ ? impl_->sample.records.size() : 0;
+  return impl_ ? impl_->sample.order.size() : 0;
 }
 
-UnionSample BuildUnionSample(
-    std::span<const GpsReservoir* const> shards) {
-  auto impl = std::make_unique<UnionSample::Impl>();
+void RefreshUnionSample(std::span<const ShardSampleRef> shards,
+                        UnionSample* sample) {
+  sample->num_shards_ = shards.size();
   // No pass ever reads the index below two shards (there is no spanning
-  // stratum), so skip the O(total sample) build for K = 1.
-  if (shards.size() >= 2) impl->sample = BuildMergedSample(shards);
-  return UnionSample(std::move(impl), shards.size());
+  // stratum), so none is kept for K = 1.
+  if (shards.size() < 2) {
+    sample->last_reindexed_ = sample->num_edges();
+    sample->impl_.reset();
+    return;
+  }
+  if (!sample->impl_) sample->impl_ = std::make_unique<UnionSample::Impl>();
+  sample->last_reindexed_ = RefreshMergedSample(shards, &sample->impl_->sample);
 }
 
 UnionSample BuildUnionSample(std::span<const ShardSampleRef> shards) {
-  auto impl = std::make_unique<UnionSample::Impl>();
-  if (shards.size() >= 2) impl->sample = BuildMergedSample(shards);
-  return UnionSample(std::move(impl), shards.size());
+  UnionSample sample;
+  RefreshUnionSample(shards, &sample);
+  return sample;
+}
+
+UnionSample BuildUnionSample(std::span<const GpsReservoir* const> shards) {
+  return BuildUnionSample(std::span<const ShardSampleRef>(PlainRefs(shards)));
 }
 
 GraphEstimates EstimateCrossShard(const UnionSample& sample) {
@@ -262,10 +310,18 @@ GraphEstimates EstimateCrossShard(const UnionSample& sample) {
   return EstimateOverSample</*SpanOnly=*/true>(sample.impl_->sample);
 }
 
+GraphEstimates EstimateMergedPostStream(const UnionSample& sample) {
+  assert(sample.num_shards() >= 2 && "no union index below two shards");
+  if (sample.num_shards() < 2) return {};
+  return EstimateOverSample</*SpanOnly=*/false>(sample.impl_->sample);
+}
+
 std::vector<MotifAccumulator> EstimateCrossShardMotifs(
     const UnionSample& sample, std::span<const std::string> motif_names) {
-  return CrossShardMotifsOverSample(sample.impl_->sample,
-                                    sample.num_shards(), motif_names);
+  if (sample.num_shards() < 2) {
+    return std::vector<MotifAccumulator>(motif_names.size());
+  }
+  return CrossShardMotifsOverSample(sample.impl_->sample, motif_names);
 }
 
 size_t UnionPassThreads(size_t num_edges) {
@@ -282,14 +338,17 @@ GraphEstimates SumShardEstimates(std::span<const GraphEstimates> shards) {
 
 GraphEstimates EstimateCrossShard(
     std::span<const GpsReservoir* const> shards) {
-  if (shards.size() < 2) return {};
-  return EstimateUnion</*SpanOnly=*/true>(shards);
+  return EstimateCrossShard(BuildUnionSample(shards));
 }
 
 GraphEstimates EstimateMergedPostStream(
     std::span<const GpsReservoir* const> shards) {
   if (shards.empty()) return {};
-  return EstimateUnion</*SpanOnly=*/false>(shards);
+  // Indexed directly: this pass also runs at K = 1, where a UnionSample
+  // keeps no index.
+  MergedSample merged;
+  RefreshMergedSample(PlainRefs(shards), &merged);
+  return EstimateOverSample</*SpanOnly=*/false>(merged);
 }
 
 GraphEstimates AddEstimates(const GraphEstimates& a,
@@ -322,11 +381,8 @@ std::vector<MotifAccumulator> SumShardMotifAccumulators(
 std::vector<MotifAccumulator> EstimateCrossShardMotifs(
     std::span<const GpsReservoir* const> shards,
     std::span<const std::string> motif_names) {
-  if (shards.size() < 2 || motif_names.empty()) {
-    return std::vector<MotifAccumulator>(motif_names.size());
-  }
-  return CrossShardMotifsOverSample(BuildMergedSample(shards),
-                                    shards.size(), motif_names);
+  if (motif_names.empty()) return {};
+  return EstimateCrossShardMotifs(BuildUnionSample(shards), motif_names);
 }
 
 std::vector<MotifEstimate> MakeMotifEstimates(

@@ -71,13 +71,36 @@ struct ShardSampleRef {
   std::span<const uint32_t> slot_strata = {};
 };
 
-/// The union of the shard reservoirs, built once and shared by every
-/// cross-shard pass over the same drained state (tri/wedge correction,
-/// per-motif correction): construction is O(total sample), so callers
-/// that need several passes per drain — the engine's monitoring tick —
-/// must not rebuild it per statistic. Opaque; obtain via BuildUnionSample.
+/// The union of the shard reservoirs, indexed for the cross-shard passes
+/// (tri/wedge correction, per-motif correction, the merged post-stream
+/// pass). Opaque; filled by RefreshUnionSample.
+///
+/// The index persists. Each union record is keyed by a global slot:
+/// shard s's reservoir slot i lives at (sum of slot capacities of shards
+/// 0..s-1) + i. Reservoir SlotIds are stable (core/packed_store.h
+/// recycles slots and never moves a live record), so a refresh
+/// re-indexes only the slots whose edge left or changed since the last
+/// refresh, and merely re-reads every live slot's inclusion probability
+/// (z* moves) and stratum. An engine's monitoring tick therefore costs
+/// O(changed slots) index updates plus one O(sample) scan instead of an
+/// O(sample) rebuild. BuildUnionSample is a refresh from empty: there is
+/// one indexing code path.
+///
+/// Results never depend on the index's history. The passes fold per-edge
+/// terms in union order — shard by shard, each shard in its reservoir's
+/// ForEachEdge (heap) order — and sampled adjacency iterates in
+/// neighbor-id order (graph/sampled_graph.h), so estimates over a
+/// refreshed index are bit-identical to those over a fresh build of the
+/// same shard states.
+///
+/// Not thread-safe: refresh and passes are called from one thread (the
+/// engine's producer; a pass may fan out internally) while the shard
+/// reservoirs are quiescent (after a drain). The engine keeps one index
+/// from its first merge until Finish(), which releases it; merges after
+/// Finish build and free their own.
 class UnionSample {
  public:
+  UnionSample();
   ~UnionSample();
   UnionSample(UnionSample&&) noexcept;
   UnionSample& operator=(UnionSample&&) noexcept;
@@ -88,24 +111,36 @@ class UnionSample {
   /// union index is built). Observability only.
   size_t num_edges() const;
 
+  /// Slots the last refresh un-indexed plus slots it indexed: 0 when no
+  /// shard sample changed, num_edges() for a build from empty.
+  /// Observability only.
+  size_t last_reindexed() const { return last_reindexed_; }
+
  private:
-  friend UnionSample BuildUnionSample(
-      std::span<const GpsReservoir* const> shards);
-  friend UnionSample BuildUnionSample(
-      std::span<const ShardSampleRef> shards);
+  friend void RefreshUnionSample(std::span<const ShardSampleRef> shards,
+                                 UnionSample* sample);
   friend GraphEstimates EstimateCrossShard(const UnionSample& sample);
+  friend GraphEstimates EstimateMergedPostStream(const UnionSample& sample);
   friend std::vector<MotifAccumulator> EstimateCrossShardMotifs(
       const UnionSample& sample, std::span<const std::string> motif_names);
 
   struct Impl;
-  explicit UnionSample(std::unique_ptr<Impl> impl, size_t num_shards);
 
   std::unique_ptr<Impl> impl_;
   size_t num_shards_ = 0;
+  size_t last_reindexed_ = 0;
 };
 
-/// Indexes the union of the shard reservoirs (edge-hash sharding keeps
-/// them edge-disjoint); each edge keeps min{1, w/z*} of its OWN shard.
+/// Brings `sample` up to date with the shard reservoirs (edge-hash
+/// sharding keeps them edge-disjoint); each edge keeps min{1, w/z*} of its
+/// OWN shard. Un-indexes every slot whose edge left its reservoir or was
+/// replaced, indexes the new edges, and re-reads every live slot's
+/// probability and stratum. Below two shards no pass reads the index, so
+/// none is kept. The reservoirs must not change during the call.
+void RefreshUnionSample(std::span<const ShardSampleRef> shards,
+                        UnionSample* sample);
+
+/// RefreshUnionSample into an empty index.
 UnionSample BuildUnionSample(std::span<const GpsReservoir* const> shards);
 
 /// As above with per-shard sub-stratum tables (see ShardSampleRef).
@@ -124,6 +159,10 @@ GraphEstimates EstimateCrossShard(const UnionSample& sample);
 /// bit (same edge order, same per-edge terms).
 GraphEstimates EstimateMergedPostStream(
     std::span<const GpsReservoir* const> shards);
+
+/// As above, over a union sample of >= 2 shards (a smaller union holds no
+/// index; use the reservoir overload).
+GraphEstimates EstimateMergedPostStream(const UnionSample& sample);
 
 /// Threads the union-sample passes above (EstimateCrossShard,
 /// EstimateMergedPostStream) run on for a union of `num_edges` edges: the

@@ -570,6 +570,7 @@ void ShardedEngine::Finish() {
   if (router_ != nullptr) router_->Close();
   for (auto& shard : shards_) shard->Join();
   finished_ = true;
+  union_.reset();
 }
 
 std::vector<const GpsReservoir*> ShardedEngine::CollectReservoirs() const {
@@ -645,6 +646,7 @@ void ShardedEngine::RegisterObservability() {
   metrics_.AddGauge("reservoir.zstar", &derived_.zstar_max);
   metrics_.AddGauge("reservoir.sample_size", &derived_.sample_size_total);
   metrics_.AddGauge("merge.union_sample_size", &derived_.union_sample_size);
+  metrics_.AddGauge("merge.union_reindexed", &derived_.union_reindexed);
   metrics_.AddGauge("merge.threads", &merge_threads_);
   metrics_.AddHistogram("merge.cross_latency", &merge_cross_latency_);
   metrics_.AddGauge("worker.busy_seconds", &derived_.busy_seconds_max);
@@ -752,10 +754,19 @@ GraphEstimates ShardedEngine::MergedGraphEstimatesOver(
   return AddEstimates(SumShardEstimates(per_shard), cross);
 }
 
-UnionSample ShardedEngine::BuildUnion() {
+const UnionSample& ShardedEngine::BuildUnion() {
   TraceSpan span(options_.trace, producer_trace_buf_, "merge.union_build");
-  return BuildUnionSample(
-      std::span<const ShardSampleRef>(CollectSampleRefs()));
+  if (union_ == nullptr) union_ = std::make_unique<UnionSample>();
+  RefreshUnionSample(std::span<const ShardSampleRef>(CollectSampleRefs()),
+                     union_.get());
+  const size_t reindexed = union_->last_reindexed();
+  span.SetArg("reindexed", static_cast<int64_t>(reindexed));
+  derived_.union_reindexed.Set(static_cast<double>(reindexed));
+  return *union_;
+}
+
+void ShardedEngine::ReleaseUnionIfFinished() {
+  if (finished_) union_.reset();
 }
 
 std::vector<MotifEstimate> ShardedEngine::MergedMotifEstimatesOver(
@@ -779,10 +790,18 @@ std::vector<MotifEstimate> ShardedEngine::MergedMotifEstimatesOver(
 
 GraphEstimates ShardedEngine::MergedEstimates() {
   if (!finished_) Drain();
-  if (options_.merge_mode == MergeMode::kPostStreamMerged) {
-    return EstimateMergedPostStream(CollectReservoirs());
+  GraphEstimates merged;
+  if (options_.merge_mode == MergeMode::kInStreamPlusCross) {
+    merged = MergedGraphEstimatesOver(BuildUnion());
+  } else if (num_shards() >= 2) {
+    merged = EstimateMergedPostStream(BuildUnion());
+  } else {
+    // One shard keeps no union index; its post-stream pass runs over the
+    // reservoir itself.
+    merged = EstimateMergedPostStream(CollectReservoirs());
   }
-  return MergedGraphEstimatesOver(BuildUnion());
+  ReleaseUnionIfFinished();
+  return merged;
 }
 
 std::vector<MotifEstimate> ShardedEngine::MergedMotifEstimates() {
@@ -794,7 +813,9 @@ std::vector<MotifEstimate> ShardedEngine::MergedMotifEstimates() {
     return {};
   }
   if (!finished_) Drain();
-  return MergedMotifEstimatesOver(BuildUnion());
+  std::vector<MotifEstimate> merged = MergedMotifEstimatesOver(BuildUnion());
+  ReleaseUnionIfFinished();
+  return merged;
 }
 
 double ShardedEngine::MergedEdgeCountEstimate() {
@@ -1073,10 +1094,10 @@ void ShardedEngine::FirePeriodicHooks() {
     if (options_.merge_mode == MergeMode::kPostStreamMerged) {
       record.estimates = MergedEstimates();  // drains
     } else {
-      // One drain, one union-sample build for both passes: ticks fire on
-      // every period, so the O(sample) index must not be built twice.
+      // One drain, one refresh of the engine's union index for both
+      // passes: it re-indexes only the slots changed since the last tick.
       if (!finished_) Drain();
-      const UnionSample sample = BuildUnion();
+      const UnionSample& sample = BuildUnion();
       record.estimates = MergedGraphEstimatesOver(sample);
       record.motifs = MergedMotifEstimatesOver(sample);
     }

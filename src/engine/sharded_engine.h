@@ -443,15 +443,19 @@ class ShardedEngine {
   /// stderr.
   void DisablePinning(const std::string& why);
 
-  /// In-stream-mode merged estimates over a prebuilt union sample, so a
-  /// monitoring tick builds the O(sample) union index once for the
-  /// tri/wedge AND motif passes. Drained state required.
+  /// In-stream-mode merged estimates over a refreshed union sample, so a
+  /// monitoring tick refreshes the union index once for the tri/wedge AND
+  /// motif passes. Drained state required.
   GraphEstimates MergedGraphEstimatesOver(const UnionSample& sample);
   std::vector<MotifEstimate> MergedMotifEstimatesOver(
       const UnionSample& sample);
-  /// BuildUnionSample over the drained shards, in a "merge.union_build"
-  /// producer trace span.
-  UnionSample BuildUnion();
+  /// Refreshes the engine's union index (allocated on the first merge)
+  /// from the drained shards, in a "merge.union_build" producer trace
+  /// span. Callers release it with ReleaseUnionIfFinished() when done.
+  const UnionSample& BuildUnion();
+  /// After Finish() no tick reuses the index, so each merge frees it
+  /// instead of holding it for the engine's lifetime.
+  void ReleaseUnionIfFinished();
 
   ShardedEngineOptions options_;
   StealMode effective_steal_ = StealMode::kDisabled;
@@ -468,6 +472,9 @@ class ShardedEngine {
   uint64_t producer_submit_ns_ = 0;  // hand-off (incl. ring-full waits)
   uint64_t edges_processed_ = 0;
   bool finished_ = false;
+  /// Persistent union-sample index (engine/merge.h UnionSample), reused
+  /// across merges; null before the first merge and after Finish().
+  std::unique_ptr<UnionSample> union_;
 
   uint64_t monitor_every_ = 0;
   std::function<void(const MonitorRecord&)> monitor_callback_;
@@ -484,6 +491,7 @@ class ShardedEngine {
     Gauge zstar_max;           // reservoir.zstar (max across shards)
     Gauge sample_size_total;   // reservoir.sample_size (sum across shards)
     Gauge union_sample_size;   // merge.union_sample_size (last merge pass)
+    Gauge union_reindexed;     // merge.union_reindexed (last refresh)
     Gauge busy_seconds_max;    // worker.busy_seconds (max across workers)
     Gauge idle_seconds_max;    // worker.idle_seconds (max across workers)
     Gauge arena_bytes_total;   // store.arena_bytes (sum across shards)

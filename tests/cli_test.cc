@@ -152,6 +152,44 @@ TEST_F(CliTest, CheckpointResumeRoundTrip) {
   std::remove(ckpt.c_str());
 }
 
+TEST_F(CliTest, FailedCheckpointWriteKeepsPreviousCheckpoint) {
+  const std::string ckpt = TempPath("cli_keep_ckpt.gps");
+  ASSERT_EQ(RunCli("estimate --input " + graph_path_ +
+                   " --capacity 1500 --checkpoint " + ckpt)
+                .exit_code,
+            0);
+  auto read_all = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+  };
+  const std::string before = read_all(ckpt);
+  ASSERT_FALSE(before.empty());
+
+  // A directory where the staging file goes makes the write fail: both
+  // writers (estimate --checkpoint, resume --save) must exit non-zero and
+  // leave the old checkpoint byte-identical.
+  const std::string tmp = ckpt + ".tmp";
+  ASSERT_TRUE(std::filesystem::create_directory(tmp));
+  const CommandResult est =
+      RunCli("estimate --input " + graph_path_ +
+             " --capacity 900 --checkpoint " + ckpt);
+  EXPECT_NE(est.exit_code, 0) << est.output;
+  EXPECT_NE(est.output.find("checkpoint error"), std::string::npos)
+      << est.output;
+  EXPECT_EQ(read_all(ckpt), before);
+  const CommandResult save =
+      RunCli("resume --checkpoint " + ckpt + " --input " + graph_path_ +
+             " --save " + ckpt);
+  EXPECT_NE(save.exit_code, 0) << save.output;
+  EXPECT_EQ(read_all(ckpt), before);
+  EXPECT_TRUE(std::filesystem::is_directory(tmp));
+
+  std::filesystem::remove(tmp);
+  std::remove(ckpt.c_str());
+}
+
 TEST_F(CliTest, ResumeRejectsCorruptCheckpoint) {
   const std::string ckpt = TempPath("cli_bad_ckpt.gps");
   std::ofstream(ckpt) << "NOT-A-CHECKPOINT 1\n";

@@ -398,5 +398,43 @@ TEST(TraceTest, MergedEstimatesRecordMergeSpansAndMetrics) {
   EXPECT_EQ(snap.GaugeOr0("merge.threads"), 1.0);
 }
 
+TEST(TraceTest, MergeWithoutNewEdgesReindexesNothing) {
+  const std::filesystem::path dir = FreshDir("metrics", "reindexed");
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "trace.json").string();
+
+  const std::vector<Edge> stream = TestStream(600, 8, 63, 64);
+  TraceEventSink sink;
+  ShardedEngineOptions options = EngineOptions(3, 300, 19);
+  options.trace = &sink;
+  ShardedEngine engine(options);
+  for (const Edge& e : stream) engine.Process(e);
+  // The first merge indexes the whole union; the second finds every
+  // shard sample unchanged (no edges in between) and re-indexes nothing.
+  engine.MergedEstimates();
+  const MetricsSnapshot first = engine.SnapshotMetrics();
+  engine.MergedEstimates();
+  const MetricsSnapshot second = engine.SnapshotMetrics();
+  engine.Finish();
+  ASSERT_TRUE(sink.WriteJson(path).ok());
+
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::string json = text.str();
+  const std::string span = "\"merge.union_build\"";
+  const size_t first_span = json.find(span);
+  ASSERT_NE(first_span, std::string::npos);
+  const size_t second_span = json.find(span, first_span + 1);
+  ASSERT_NE(second_span, std::string::npos);
+  EXPECT_NE(json.find("\"reindexed\":0}", second_span), std::string::npos);
+
+  if (!MetricsEnabled()) return;
+  EXPECT_GT(first.GaugeOr0("merge.union_reindexed"), 0.0);
+  EXPECT_EQ(first.GaugeOr0("merge.union_reindexed"),
+            first.GaugeOr0("merge.union_sample_size"));
+  EXPECT_EQ(second.GaugeOr0("merge.union_reindexed"), 0.0);
+}
+
 }  // namespace
 }  // namespace gps

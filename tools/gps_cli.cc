@@ -450,18 +450,32 @@ void PrintEstimateReport(const char* label, const EstimateReport& report) {
 }
 
 /// Serializes an in-stream estimator to `path`; used by `estimate
-/// --checkpoint` (serial) and `resume --save`.
+/// --checkpoint` (serial) and `resume --save`. The bytes go to
+/// `<path>.tmp`, which is renamed over `path` only once they are written
+/// without a stream error, so a failed or interrupted write leaves the
+/// previous checkpoint intact. Nothing is fsynced (as SerializeShards).
 int WriteEstimatorCheckpoint(const InStreamEstimator& estimator,
                              const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  const Status s = SerializeInStreamEstimator(estimator, out);
-  if (!s.ok()) {
-    std::fprintf(stderr, "checkpoint error: %s\n", s.ToString().c_str());
+  const std::string tmp = path + ".tmp";
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  if (!out) {
+    std::fprintf(stderr, "checkpoint error: cannot write %s\n", tmp.c_str());
     return 1;
   }
-  if (!out) {
-    std::fprintf(stderr, "checkpoint error: cannot write %s\n",
-                 path.c_str());
+  Status s = SerializeInStreamEstimator(estimator, out);
+  out.close();
+  if (s.ok() && !out) s = Status::IoError("cannot write " + tmp);
+  std::error_code ec;
+  if (s.ok()) {
+    std::filesystem::rename(tmp, path, ec);
+    if (ec) {
+      s = Status::IoError("cannot rename " + tmp + " to " + path + ": " +
+                          ec.message());
+    }
+  }
+  if (!s.ok()) {
+    std::filesystem::remove(tmp, ec);
+    std::fprintf(stderr, "checkpoint error: %s\n", s.ToString().c_str());
     return 1;
   }
   std::printf("checkpoint written to %s\n", path.c_str());
