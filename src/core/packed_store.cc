@@ -52,7 +52,7 @@ std::string FormatAllocationReport(const StoreLayout& layout) {
     out << " (explicit capacity " << layout.capacity << ")";
   }
   out << "\n";
-  out << "  slot columns (SoA)   : " << layout.slot_bytes << " bytes\n";
+  out << "  slot columns         : " << layout.slot_bytes << " bytes\n";
   out << "  priority heap        : " << layout.heap_bytes << " bytes\n";
   out << "  adjacency arena      : " << layout.adjacency_bytes
       << " bytes\n";
@@ -69,11 +69,9 @@ std::string FormatAllocationReport(const StoreLayout& layout) {
 
 PackedSampleStore::PackedSampleStore(size_t capacity)
     : cap_(capacity + 1) {
+  hot_.reserve(cap_);
   keys_.reserve(cap_);
-  weights_.reserve(cap_);
   priorities_.reserve(cap_);
-  cov_tri_.reserve(cap_);
-  cov_wedge_.reserve(cap_);
   live_.reserve(cap_);
   free_.reserve(cap_);
 }
@@ -81,11 +79,9 @@ PackedSampleStore::PackedSampleStore(size_t capacity)
 PackedSampleStore::PackedSampleStore(const PackedSampleStore& other)
     : cap_(other.cap_),
       used_(other.used_),
+      hot_(other.hot_),
       keys_(other.keys_),
-      weights_(other.weights_),
       priorities_(other.priorities_),
-      cov_tri_(other.cov_tri_),
-      cov_wedge_(other.cov_wedge_),
       live_(other.live_),
       free_(other.free_) {
   if (other.stripes_) stripes_ = std::make_unique<StripeArray>();
@@ -97,11 +93,9 @@ PackedSampleStore& PackedSampleStore::operator=(
   if (this == &other) return *this;
   cap_ = other.cap_;
   used_ = other.used_;
+  hot_ = other.hot_;
   keys_ = other.keys_;
-  weights_ = other.weights_;
   priorities_ = other.priorities_;
-  cov_tri_ = other.cov_tri_;
-  cov_wedge_ = other.cov_wedge_;
   live_ = other.live_;
   free_ = other.free_;
   stripes_ = other.stripes_ ? std::make_unique<StripeArray>() : nullptr;
@@ -125,11 +119,9 @@ Result<SlotId> PackedSampleStore::TryAllocate() {
         " + 1 transient) refused — the store never grows beyond its "
         "memory layout");
   }
+  hot_.push_back(HotRecord{});
   keys_.push_back(0);
-  weights_.push_back(0.0);
   priorities_.push_back(0.0);
-  cov_tri_.push_back(0.0);
-  cov_wedge_.push_back(0.0);
   live_.push_back(0);
   return static_cast<SlotId>(used_++);
 }
@@ -154,11 +146,9 @@ void PackedSampleStore::Free(SlotId slot) {
 void PackedSampleStore::Store(SlotId slot, const EdgeRecord& record) {
   std::unique_lock<std::mutex> lock;
   if (stripes_) lock = std::unique_lock<std::mutex>(StripeFor(slot));
+  hot_[slot] = HotRecord{record.weight, record.cov_tri, record.cov_wedge};
   keys_[slot] = EdgeKey(record.edge);
-  weights_[slot] = record.weight;
   priorities_[slot] = record.priority;
-  cov_tri_[slot] = record.cov_tri;
-  cov_wedge_[slot] = record.cov_wedge;
   live_[slot] = 1;
 }
 

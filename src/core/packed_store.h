@@ -1,17 +1,30 @@
-// PackedSampleStore: budget-sized SoA storage for reservoir edge records.
+// PackedSampleStore: budget-sized column storage for reservoir edge records.
 //
 // The reservoir used to keep an AoS std::vector<EdgeRecord> whose size was
-// `--capacity` guesswork. This store packs the same records into parallel
-// structure-of-arrays columns (edge keys, weights, priorities, covariance
-// accumulators, liveness) sized ONCE from a StoreLayout, so a `--mem`
-// byte budget translates into a derived capacity and a predictable
-// resident footprint instead of allocator noise. The idiom follows
-// mccortex's packed gpath_hash (fixed arena, capacity derived from the
-// memory argument) and plf_hive's stable-slot storage: slots are recycled
-// through a free list, so a SlotId handed out for an admitted edge stays
-// valid — and keeps meaning that edge — until the edge is freed, no
-// matter how much churn surrounds it. Snapshot, serialize, and adjacency
-// code all hold SlotIds across evictions and depend on that stability.
+// `--capacity` guesswork. This store packs the same records into columns
+// laid out for their access patterns and sized ONCE from a StoreLayout, so
+// a `--mem` byte budget translates into a derived capacity and a
+// predictable resident footprint instead of allocator noise:
+//
+//   * a hot-record column of {weight, cov_tri, cov_wedge} (24 bytes) —
+//     exactly the fields the in-stream estimator's per-neighbor update
+//     reads and writes (Algorithm 3 lines 14-27), so one update touches
+//     one record instead of three scattered columns;
+//   * cold columns of edge keys, priorities and liveness bytes, read at
+//     admission, eviction, checkpoint and merge time.
+//
+// The priority stays out of the hot record: the wedge loop never reads
+// it, and a 32-byte {weight, priority, cov_tri, cov_wedge} record has to
+// be over-aligned to stay inside one cache line, which changes how the
+// allocator places the column (and every large buffer allocated after
+// it) for no speed gain. The idiom follows mccortex's packed gpath_hash
+// (fixed arena, capacity derived from the memory argument, entries packed
+// for their access pattern) and plf_hive's stable-slot storage: slots are
+// recycled through a free list, so a SlotId handed out for an admitted
+// edge stays valid — and keeps meaning that edge — until the edge is
+// freed, no matter how much churn surrounds it. Snapshot, serialize, and
+// adjacency code all hold SlotIds across evictions and depend on that
+// stability.
 //
 // Concurrency: the store is single-writer by default (the shard worker
 // that owns the reservoir). In steal mode the owner re-binds stolen
@@ -38,7 +51,7 @@
 
 namespace gps {
 
-/// Per-sampled-edge record, materialized from the SoA columns. (Formerly
+/// Per-sampled-edge record, materialized from the store's columns. (Formerly
 /// nested in GpsReservoir; hoisted so the store does not depend on the
 /// reservoir. GpsReservoir::EdgeRecord remains an alias.)
 struct EdgeRecord {
@@ -61,7 +74,7 @@ struct EdgeRecord {
 struct StoreLayout {
   uint64_t budget_bytes = 0;  ///< 0 = explicit capacity, no budget.
   size_t capacity = 0;        ///< reservoir capacity m.
-  uint64_t slot_bytes = 0;       ///< SoA record columns.
+  uint64_t slot_bytes = 0;       ///< record columns.
   uint64_t heap_bytes = 0;       ///< priority min-heap items.
   uint64_t adjacency_bytes = 0;  ///< arena blocks (incl. size-class slack).
   uint64_t node_index_bytes = 0; ///< open-addressing node table at its
@@ -69,15 +82,27 @@ struct StoreLayout {
   uint64_t total_bytes = 0;
 };
 
+/// The in-stream estimator's per-slot working set: everything one
+/// Algorithm-3 neighbor update reads or writes, in one record.
+struct HotRecord {
+  double weight = 0.0;
+  double cov_tri = 0.0;
+  double cov_wedge = 0.0;
+};
+
 /// Derivation-formula terms, exposed for tests and documentation.
 /// Per-slot costs (bytes per reservoir slot, counting the +1 transient):
-///   slots: 8 (edge key) + 4*8 (weight/priority/cov columns) + 1 (live)
+///   slots: 24 (hot record: weight + two covariance accumulators)
+///          + 8 (edge key) + 8 (priority) + 1 (live)
 ///   heap:  16 (priority + slot, padded)
 ///   adjacency: 2 directed entries * 8 bytes, doubled for pow2
 ///              size-class slack
 ///   node index: <= 2 nodes/edge * 17 bytes/bucket (key + block ref +
 ///               ctrl), doubled for the 7/8 load cap + pow2 rounding
 inline constexpr uint64_t kStoreSlotBytes = 41;
+static_assert(kStoreSlotBytes == sizeof(HotRecord) + sizeof(uint64_t) +
+                                     sizeof(double) + sizeof(uint8_t),
+              "kStoreSlotBytes must match PackedSampleStore's columns");
 inline constexpr uint64_t kStoreHeapBytes = 16;
 inline constexpr uint64_t kStoreAdjacencyBytes = 32;
 inline constexpr uint64_t kStoreNodeIndexBytes = 48;
@@ -135,23 +160,29 @@ class PackedSampleStore {
 
   /// Materializes the record held in `slot`.
   EdgeRecord Record(SlotId slot) const {
-    return EdgeRecord{EdgeFromKey(keys_[slot]), weights_[slot],
-                      priorities_[slot], cov_tri_[slot], cov_wedge_[slot]};
+    const HotRecord& h = hot_[slot];
+    return EdgeRecord{EdgeFromKey(keys_[slot]), h.weight, priorities_[slot],
+                      h.cov_tri, h.cov_wedge};
   }
 
-  // Column accessors for hot paths that need one field, not a
-  // materialized record.
+  /// The slot's hot record, for the in-stream update (and its prefetch).
+  const HotRecord& hot(SlotId slot) const { return hot_[slot]; }
+
+  // Field accessors for paths that need one field, not a materialized
+  // record.
   Edge edge(SlotId slot) const { return EdgeFromKey(keys_[slot]); }
-  double weight(SlotId slot) const { return weights_[slot]; }
+  double weight(SlotId slot) const { return hot_[slot].weight; }
   double priority(SlotId slot) const { return priorities_[slot]; }
-  double cov_tri(SlotId slot) const { return cov_tri_[slot]; }
-  double cov_wedge(SlotId slot) const { return cov_wedge_[slot]; }
+  double cov_tri(SlotId slot) const { return hot_[slot].cov_tri; }
+  double cov_wedge(SlotId slot) const { return hot_[slot].cov_wedge; }
 
   /// In-stream estimation updates the covariance accumulators in place
   /// (the one mutation that outlives Store); these replace the old
   /// MutableRecord escape hatch.
-  void AddCovTri(SlotId slot, double delta) { cov_tri_[slot] += delta; }
-  void AddCovWedge(SlotId slot, double delta) { cov_wedge_[slot] += delta; }
+  void AddCovTri(SlotId slot, double delta) { hot_[slot].cov_tri += delta; }
+  void AddCovWedge(SlotId slot, double delta) {
+    hot_[slot].cov_wedge += delta;
+  }
 
   bool live(SlotId slot) const { return live_[slot] != 0; }
 
@@ -159,11 +190,6 @@ class PackedSampleStore {
   size_t num_slots() const { return used_; }
   size_t live_slots() const { return used_ - free_.size(); }
   size_t slot_capacity() const { return cap_; }
-
-  /// Bytes preallocated for the SoA columns.
-  uint64_t soa_bytes() const {
-    return static_cast<uint64_t>(cap_) * kStoreSlotBytes;
-  }
 
   /// Arms bucket-level striped locking of slot writes (steal mode).
   void EnableConcurrentAdmission();
@@ -180,17 +206,15 @@ class PackedSampleStore {
 
   size_t cap_ = 0;   // preallocated slots (capacity + 1)
   size_t used_ = 0;  // high-water mark of handed-out slots
+  std::vector<HotRecord> hot_;
   std::vector<uint64_t> keys_;
-  std::vector<double> weights_;
   std::vector<double> priorities_;
-  std::vector<double> cov_tri_;
-  std::vector<double> cov_wedge_;
   std::vector<uint8_t> live_;
   std::vector<SlotId> free_;
   // Mutexes are not copyable/movable; held indirectly so the store stays
   // movable. Copies re-arm fresh (unlocked) locks. The free list is a
   // single shared structure, so it gets its own mutex rather than a
-  // stripe (stripes guard per-slot column writes only).
+  // stripe (stripes guard per-slot record writes only).
   std::unique_ptr<StripeArray> stripes_;
   std::unique_ptr<std::mutex> free_mu_;
 };

@@ -11,10 +11,11 @@
 // Structure:
 //   * a binary min-heap over (priority, slot) gives O(1) access to the
 //     lowest-priority edge and O(log m) insert/evict;
-//   * a PackedSampleStore holds per-edge records as SoA columns
-//     (endpoints, weight, priority, and the in-stream covariance
-//     accumulators of Algorithm 3) with stable recycled SlotIds, sized
-//     once — optionally from a --mem byte budget (core/packed_store.h);
+//   * a PackedSampleStore holds per-edge records (endpoints, weight,
+//     priority, and the in-stream covariance accumulators of Algorithm 3)
+//     with stable recycled SlotIds, sized once — optionally from a --mem
+//     byte budget. Weight and accumulators share one hot record per slot;
+//     keys, priorities and liveness are columns (core/packed_store.h);
 //   * a SampledGraph adjacency indexes the sampled topology so weight
 //     functions and estimators can query neighborhoods in O(min deg).
 //
@@ -148,12 +149,20 @@ class GpsReservoir {
   /// while no edge has ever been evicted.
   double threshold() const { return z_star_; }
 
-  /// Conditional inclusion probability min{1, w/z*} for a given weight;
-  /// 1 while z* == 0 (every edge so far is kept with certainty).
-  double ProbabilityForWeight(double weight) const {
-    if (z_star_ <= 0.0) return 1.0;
-    const double p = weight / z_star_;
+  /// min{1, w/z*} for an explicit threshold; 1 while z* == 0 (every
+  /// edge so far is kept with certainty). The one formula behind every
+  /// inclusion probability, so a loop holding z* in a register gets the
+  /// same bits as Probability().
+  static double InclusionProbability(double weight, double z_star) {
+    if (z_star <= 0.0) return 1.0;
+    const double p = weight / z_star;
     return p < 1.0 ? p : 1.0;
+  }
+
+  /// Conditional inclusion probability for a given weight at the current
+  /// threshold.
+  double ProbabilityForWeight(double weight) const {
+    return InclusionProbability(weight, z_star_);
   }
 
   /// Inclusion probability of the sampled edge in `slot`.
@@ -164,8 +173,12 @@ class GpsReservoir {
   /// Sampled topology (node -> neighbors with slot payloads).
   const SampledGraph& graph() const { return graph_; }
 
-  /// Materializes the record in `slot` from the store's SoA columns.
+  /// Materializes the record in `slot` from the store's columns.
   EdgeRecord Record(SlotId slot) const { return store_.Record(slot); }
+
+  /// The weight and covariance accumulators of `slot` in one record —
+  /// the in-stream estimator's per-neighbor working set.
+  const HotRecord& hot(SlotId slot) const { return store_.hot(slot); }
 
   /// In-stream estimation's covariance-accumulator updates (Algorithm 3
   /// lines 16-19 / 24-27) — the only record mutation that happens after
@@ -176,8 +189,6 @@ class GpsReservoir {
   void AddCovWedge(SlotId slot, double delta) {
     store_.AddCovWedge(slot, delta);
   }
-  double cov_tri(SlotId slot) const { return store_.cov_tri(slot); }
-  double cov_wedge(SlotId slot) const { return store_.cov_wedge(slot); }
 
   /// Calls fn(slot, record) for each sampled edge (heap order).
   template <typename Fn>
@@ -194,7 +205,8 @@ class GpsReservoir {
   /// Reservoir configuration.
   const GpsOptions& options() const { return options_; }
 
-  /// Packed slot storage (SoA columns + free list).
+  /// Packed slot storage (hot records, key/priority/live columns, free
+  /// list).
   const PackedSampleStore& store() const { return store_; }
 
   /// Sampling counters (precheck rejects / admissions / evictions).

@@ -1,12 +1,15 @@
 #include "core/serialize.h"
 
 #include <array>
+#include <cassert>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/motifs.h"
@@ -29,10 +32,15 @@ constexpr int kFormatVersion = 1;
 constexpr int kManifestVersion = 4;
 constexpr int kManifestMinReadVersion = 1;
 
+// The same characters as printf("%.17g") (the standard defines
+// to_chars' general format with a precision as printf's), without the
+// format-string parsing and locale lookups of the printf family.
 void WriteDouble(std::ostream& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out << buf;
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+  assert(r.ec == std::errc());
+  out.write(buf, r.ptr - buf);
 }
 
 /// Reads and checks "<HEADER> <version>", accepting any version in

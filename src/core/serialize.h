@@ -9,7 +9,7 @@
 // bit-identical to an uninterrupted one.
 //
 // Format: versioned line-oriented text with round-trip-exact doubles
-// (printf "%.17g"). Custom weight callables cannot be serialized; samplers
+// (the characters of printf "%.17g", produced by std::to_chars). Custom weight callables cannot be serialized; samplers
 // configured with WeightKind::kCustom return FailedPrecondition.
 //
 // Checkpoints are untrusted input (they cross machines in the distributed

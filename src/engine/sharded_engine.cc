@@ -922,7 +922,7 @@ Status ShardedEngine::SerializeShards(const std::string& dir) {
       discard_staged();
       return st;
     }
-    const std::string bytes = payload.str();
+    const std::string bytes = std::move(payload).str();
     if (Status st = stage(name, bytes); !st.ok()) {
       discard_staged();
       return st;

@@ -37,6 +37,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -136,16 +137,19 @@ class SampledGraph {
 
   bool HasEdge(const Edge& e) const { return FindEdge(e) != kNoSlot; }
 
-  /// Calls fn(neighbor, slot) over the neighbors of v, in ascending
-  /// neighbor-id order regardless of insertion/eviction history.
+  /// The (neighbor, slot) entries of v, in ascending neighbor-id order
+  /// regardless of insertion/eviction history (empty if v is absent).
+  /// Valid until the next AddEdge/RemoveEdge/Clear.
+  std::span<const AdjEntry> Neighbors(NodeId v) const {
+    const BlockRef* block = nodes_.Find(v);
+    if (!block) return {};
+    return {arena_.At(block->offset), block->size};
+  }
+
+  /// Calls fn(neighbor, slot) over Neighbors(v), in the same order.
   template <typename Fn>
   void ForEachNeighbor(NodeId v, Fn&& fn) const {
-    const BlockRef* block = nodes_.Find(v);
-    if (!block) return;
-    const AdjEntry* entries = arena_.At(block->offset);
-    for (uint32_t i = 0; i < block->size; ++i) {
-      fn(entries[i].nbr, entries[i].slot);
-    }
+    for (const AdjEntry& entry : Neighbors(v)) fn(entry.nbr, entry.slot);
   }
 
   /// Calls fn(node, degree) for every node with at least one sampled edge.

@@ -4,7 +4,11 @@
 
 #include "core/in_stream.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -204,6 +208,55 @@ TEST(InStreamTest, MonotoneNondecreasingCounts) {
     last_tri = now.triangles.value;
     last_wed = now.wedges.value;
   }
+}
+
+// Bit-level goldens on a hub-heavy stream. Hub blocks in the sampled
+// adjacency run past 64 entries (checked below), far longer than the wedge
+// loop's prefetch look-ahead, so the loop's steady state (prefetching ahead while
+// accumulating the current entry) and its tail both run. The hex floats
+// were recorded from the estimator before the hot-record layout, register
+// accumulators and look-ahead prefetch; the accumulation order is part of
+// the estimator's contract, so they must reproduce bit for bit. A mismatch
+// prints the observed values in the goldens' own syntax.
+TEST(InStreamTest, HubHeavyStreamBitIdentical) {
+  EdgeList graph = GenerateChungLu(3000, 30000, 2.0, 191).value();
+  const std::vector<Edge> stream = MakePermutedStream(graph, 192);
+  GpsSamplerOptions options;
+  options.capacity = 3000;
+  options.seed = 193;
+  InStreamEstimator est(options);
+  for (const Edge& e : stream) est.Process(e);
+
+  size_t max_degree = 0;
+  est.reservoir().graph().ForEachNode([&](NodeId, size_t degree) {
+    max_degree = std::max(max_degree, degree);
+  });
+  EXPECT_GT(max_degree, 64u) << "stream no longer exercises long blocks";
+  EXPECT_GT(est.reservoir().threshold(), 0.0) << "no eviction happened";
+
+  const GraphEstimates g = est.Estimates();
+  const InStreamEstimator::Accumulators a = est.SaveAccumulators();
+  const double observed[10] = {g.triangles.value, g.triangles.variance,
+                               g.wedges.value,    g.wedges.variance,
+                               g.tri_wedge_cov,   a.n_tri,
+                               a.v_tri,           a.n_wed,
+                               a.v_wed,           a.cov_tw};
+  const double golden[10] = {
+      0x1.01c4175b773efp+17, 0x1.3729a89b917bep+26, 0x1.0ade9cf70fee5p+22,
+      0x1.fc25e66aa88eap+33, 0x1.e79de66148273p+28, 0x1.01c4175b773efp+17,
+      0x1.3729a89b917bep+26, 0x1.0ade9cf70fee5p+22, 0x1.fc25e66aa88eap+33,
+      0x1.e79de66148273p+28};
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(observed[i]),
+              std::bit_cast<uint64_t>(golden[i]))
+        << "field " << i;
+  }
+  char row[256];
+  std::snprintf(row, sizeof(row), "{%a, %a, %a, %a, %a,\n %a, %a, %a, %a, %a}",
+                observed[0], observed[1], observed[2], observed[3],
+                observed[4], observed[5], observed[6], observed[7],
+                observed[8], observed[9]);
+  if (HasFailure()) ADD_FAILURE() << "observed:\n" << row;
 }
 
 // Parameterized capacity sweep: unbiasedness at several sampling fractions.

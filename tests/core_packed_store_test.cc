@@ -115,6 +115,91 @@ TEST(PackedSampleStoreTest, SlotIdsStayStableUnderEvictionChurn) {
   EXPECT_EQ(store.live_slots(), 4u);
 }
 
+TEST(PackedSampleStoreTest, CovarianceUpdatesTouchOnlyTheirOwnField) {
+  // The hot record packs weight and both accumulators side by side; an
+  // update of one accumulator must leave its neighbours (and the other
+  // slots' records) bit-for-bit alone.
+  PackedSampleStore store(4);
+  const SlotId a = store.Allocate();
+  const SlotId b = store.Allocate();
+  store.Store(a, EdgeRecord{MakeEdge(1, 2), 0.5, 3.0, 0.125, 0.25});
+  store.Store(b, EdgeRecord{MakeEdge(3, 4), 0.75, 4.0, -1.0, -2.0});
+
+  store.AddCovTri(a, 1.0);
+  EXPECT_EQ(store.weight(a), 0.5);
+  EXPECT_EQ(store.cov_tri(a), 1.125);
+  EXPECT_EQ(store.cov_wedge(a), 0.25);
+  EXPECT_EQ(store.priority(a), 3.0);
+
+  store.AddCovWedge(a, 2.0);
+  EXPECT_EQ(store.weight(a), 0.5);
+  EXPECT_EQ(store.cov_tri(a), 1.125);
+  EXPECT_EQ(store.cov_wedge(a), 2.25);
+  EXPECT_EQ(store.priority(a), 3.0);
+
+  const HotRecord& hot = store.hot(a);
+  EXPECT_EQ(hot.weight, 0.5);
+  EXPECT_EQ(hot.cov_tri, 1.125);
+  EXPECT_EQ(hot.cov_wedge, 2.25);
+
+  const EdgeRecord other = store.Record(b);
+  EXPECT_EQ(other.edge, MakeEdge(3, 4));
+  EXPECT_EQ(other.weight, 0.75);
+  EXPECT_EQ(other.priority, 4.0);
+  EXPECT_EQ(other.cov_tri, -1.0);
+  EXPECT_EQ(other.cov_wedge, -2.0);
+}
+
+TEST(PackedSampleStoreTest, RecordRoundTripsAllFieldsAfterChurn) {
+  // Store/Record must carry all five fields through the split into the
+  // hot record and the key/priority columns, for slots recycled by
+  // eviction churn as well as fresh ones.
+  PackedSampleStore store(16);
+  std::vector<SlotId> live;
+  std::vector<EdgeRecord> expected(17);
+  for (uint32_t round = 0; round < 300; ++round) {
+    if (live.size() == 16 || (round % 3 == 2 && !live.empty())) {
+      const size_t victim = (round * 7) % live.size();
+      store.Free(live[victim]);
+      live.erase(live.begin() + static_cast<ptrdiff_t>(victim));
+    }
+    const SlotId slot = store.Allocate();
+    const EdgeRecord record{MakeEdge(round, round + 1000),
+                            1.0 / (round + 3),
+                            2.0 + round,
+                            -0.5 * round,
+                            0.25 + round};
+    store.Store(slot, record);
+    store.AddCovTri(slot, 0.125);
+    store.AddCovWedge(slot, -0.375);
+    expected[slot] = record;
+    expected[slot].cov_tri += 0.125;
+    expected[slot].cov_wedge += -0.375;
+    live.push_back(slot);
+  }
+  ASSERT_EQ(store.live_slots(), live.size());
+  for (const SlotId slot : live) {
+    ASSERT_TRUE(store.live(slot));
+    const EdgeRecord got = store.Record(slot);
+    EXPECT_EQ(got.edge, expected[slot].edge) << "slot " << slot;
+    EXPECT_EQ(got.weight, expected[slot].weight) << "slot " << slot;
+    EXPECT_EQ(got.priority, expected[slot].priority) << "slot " << slot;
+    EXPECT_EQ(got.cov_tri, expected[slot].cov_tri) << "slot " << slot;
+    EXPECT_EQ(got.cov_wedge, expected[slot].cov_wedge) << "slot " << slot;
+  }
+}
+
+TEST(PackedSampleStoreTest, SlotBytesMatchTheColumns) {
+  // 24-byte hot record + 8-byte key + 8-byte priority + 1 live byte: the
+  // per-slot term of the 137 B/slot formula.
+  EXPECT_EQ(sizeof(HotRecord), 24u);
+  EXPECT_EQ(kStoreSlotBytes, 41u);
+  for (const size_t m : {size_t{1}, size_t{1000}, size_t{200000}}) {
+    EXPECT_EQ(LayoutForCapacity(m, 0).slot_bytes, 41u * m);
+  }
+  EXPECT_EQ(kStoreBytesPerSlot, 137u);
+}
+
 TEST(PackedSampleStoreTest, FreeListRecyclingIsLifo) {
   // Deterministic recycling order is part of the byte-identity contract:
   // the slot freed last is handed out first, so eviction/insert sequences

@@ -3,8 +3,13 @@
 
 #include "core/serialize.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -13,6 +18,7 @@
 #include "core/post_stream.h"
 #include "gen/generators.h"
 #include "graph/stream.h"
+#include "util/random.h"
 
 namespace gps {
 namespace {
@@ -201,6 +207,91 @@ TEST(SerializeTest, EmptyReservoirRoundTrip) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->size(), 0u);
   EXPECT_EQ(r->options().capacity, 32u);
+}
+
+// The checkpoint's double formatter must emit exactly the characters of
+// printf("%.17g") — the format every existing checkpoint and digest was
+// written in. The reservoir carries edge-case values (signed zeros,
+// subnormals, DBL_MAX, the 1e16/1e17 boundaries where %g switches to
+// exponent form) plus random finite bit patterns in every double field
+// the writer emits: threshold, weight, priority and both covariance
+// accumulators.
+TEST(SerializeTest, DoubleFormatterMatchesPrintfExactly) {
+  const double kMinSub = std::numeric_limits<double>::denorm_min();
+  const double kMax = std::numeric_limits<double>::max();
+  const double kMin = std::numeric_limits<double>::min();
+  const std::vector<double> edge_values = {
+      0.0,  -0.0,   kMinSub, -kMinSub, kMin,    -kMin,  kMax,
+      -kMax, 1e16,  1e17,    -1e16,    -1e17,   1e-5,   1e-4,
+      0.1,  1.0 / 3, 9007199254740993.0, 123456789012345678.0,
+      0.30000000000000004, 1e300,  -2.5e-310, 99999999999999999.0};
+  const std::vector<double> positive_values = {
+      kMinSub, 2.5e-310, kMin, 1e-5, 1e-4, 0.1, 1.0,
+      1e16,    1e17,     1e300, kMax};
+
+  std::vector<GpsReservoir::EdgeRecord> records;
+  uint32_t next_node = 0;
+  auto add = [&](double weight, double priority, double cov_tri,
+                 double cov_wedge) {
+    records.push_back({MakeEdge(next_node, next_node + 1), weight, priority,
+                       cov_tri, cov_wedge});
+    next_node += 2;
+  };
+  for (double cov : edge_values) {
+    for (double w : positive_values) add(w, w, cov, -cov);
+  }
+  for (double w : positive_values) add(w, kMax, 0.0, -0.0);
+  Rng rng(701);
+  auto random_finite = [&rng] {
+    for (;;) {
+      const double v = std::bit_cast<double>(rng.NextU64());
+      if (std::isfinite(v)) return v;
+    }
+  };
+  for (int i = 0; i < 2000; ++i) {
+    const double w = std::fabs(random_finite());
+    if (w == 0.0) continue;
+    add(w, std::max(w, std::fabs(random_finite())), random_finite(),
+        random_finite());
+  }
+
+  GpsOptions options;
+  options.capacity = records.size();
+  options.seed = 702;
+  const GpsReservoir reservoir = GpsReservoir::FromParts(
+      options, kMinSub, 12345, {1, 2, 3, 4}, records);
+  std::stringstream buffer;
+  ASSERT_TRUE(SerializeReservoir(reservoir, buffer).ok());
+
+  auto printf_g17 = [](double v) {
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return std::string(buf);
+  };
+  std::string line;
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(std::getline(buffer, line));
+  std::string token;
+  buffer >> token;
+  EXPECT_EQ(token, printf_g17(reservoir.threshold()));
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(std::getline(buffer, line));
+  size_t checked = 0;
+  reservoir.ForEachEdge(
+      [&](SlotId, const GpsReservoir::EdgeRecord& rec) {
+        uint64_t u = 0;
+        uint64_t v = 0;
+        std::string fields[4];
+        ASSERT_TRUE(buffer >> u >> v >> fields[0] >> fields[1] >> fields[2] >>
+                    fields[3]);
+        EXPECT_EQ(u, rec.edge.u);
+        EXPECT_EQ(v, rec.edge.v);
+        EXPECT_EQ(fields[0], printf_g17(rec.weight));
+        EXPECT_EQ(fields[1], printf_g17(rec.priority));
+        EXPECT_EQ(fields[2], printf_g17(rec.cov_tri));
+        EXPECT_EQ(fields[3], printf_g17(rec.cov_wedge));
+        ++checked;
+      });
+  EXPECT_EQ(checked, records.size());
+  EXPECT_FALSE(buffer >> token) << "trailing token " << token;
 }
 
 // Checkpoints are untrusted cross-machine input: corrupt numeric fields
