@@ -8,8 +8,10 @@
 // The computation is localized per sampled edge (Eqs. 13–14): for each edge
 // k, estimators are accumulated over the triangles and wedges incident to k
 // in the sampled graph; covariance cross-terms between subgraphs sharing k
-// are folded in with running prefix sums, so the whole pass costs
-// O(sum_k min{deg(v1), deg(v2)}) = O(m^{3/2}).
+// are folded in with running prefix sums. The triangles at k = (v1, v2)
+// come from intersecting the two sorted sampled neighborhoods and the
+// wedges from one walk of each (core/edge_terms.h), so the pass costs
+// O(sum_k (deg(v1) + deg(v2))) sampled-adjacency steps.
 
 #ifndef GPS_CORE_POST_STREAM_H_
 #define GPS_CORE_POST_STREAM_H_

@@ -118,100 +118,14 @@ std::vector<ShardSampleRef> PlainRefs(
   return refs;
 }
 
-// Mirrors ComputeEdgeTerms of core/post_stream.cc (Algorithm 2
-// localized per edge, with the triangle-wedge covariance of Eq. 12), with
-// two generalizations:
-//   * per-edge inclusion probabilities come from each edge's own shard
-//     threshold instead of one global z*;
-//   * with SpanOnly, a subgraph contributes only when its edges span >= 2
-//     shards; the pair-covariance prefix sums then run over counted
-//     subgraphs only, so cross terms pair spanning subgraphs with
-//     spanning subgraphs (within-shard subgraphs belong to the in-stream
-//     stratum and are estimated there).
-template <bool SpanOnly>
-EdgeTerms MergedEdgeTerms(const MergedSample& sample, SlotId slot_k) {
-  const MergedRecord& rec = sample.records[slot_k];
-  const SampledGraph& graph = sample.graph;
-  NodeId v1 = rec.edge.u;
-  NodeId v2 = rec.edge.v;
-  if (graph.Degree(v1) > graph.Degree(v2)) std::swap(v1, v2);
+// ComputeEdgeTerms' record accessor over a union sample: each edge keeps
+// its own shard's probability and its (shard, sub-stratum) id.
+struct MergedRecords {
+  const MergedRecord* records;
 
-  const double inv_q = rec.inv_q;
-  const uint64_t sh = rec.stratum;
-
-  double nk_tri = 0.0, vk_tri = 0.0;
-  double nk_wed = 0.0, vk_wed = 0.0;
-  double run_tri = 0.0;      // prefix sum of 1/(q1*q2) over counted triangles
-  double ck_tri = 0.0;       // ordered-pair triangle cross-products
-  double run_wed = 0.0;      // prefix sum of 1/q_other over counted wedges
-  double ck_wed = 0.0;       // ordered-pair wedge cross-products
-  double d_contained = 0.0;  // counted (triangle, contained-wedge) pairs
-  double covb = 0.0;         // |tri ∩ wedge| = 2 contributions
-
-  graph.ForEachNeighbor(v1, [&](NodeId v3, SlotId slot_k1) {
-    if (v3 == v2) return;
-    const MergedRecord& r1 = sample.records[slot_k1];
-    const double inv_q1 = r1.inv_q;
-
-    const SlotId slot_k2 = graph.FindEdge(MakeEdge(v2, v3));
-    if (slot_k2 != kNoSlot) {
-      const MergedRecord& r2 = sample.records[slot_k2];
-      const double inv_q2 = r2.inv_q;
-      const bool tri_counted =
-          !SpanOnly || !(r1.stratum == sh && r2.stratum == sh);
-      if (tri_counted) {
-        const double inv_q1q2 = inv_q1 * inv_q2;
-        const double est = inv_q * inv_q1q2;
-        nk_tri += est;
-        vk_tri += est * (est - 1.0);
-        ck_tri += run_tri * inv_q1q2;
-        run_tri += inv_q1q2;
-        // Pairs (triangle, wedge ⊂ triangle sharing only k) to subtract
-        // from the run_tri * run_wed product: only wedges this pass
-        // counted participate in run_wed.
-        if (!SpanOnly || r1.stratum != sh) d_contained += inv_q1q2 * inv_q1;
-        if (!SpanOnly || r2.stratum != sh) d_contained += inv_q1q2 * inv_q2;
-        // Case |tri ∩ wedge| = 2: the wedge {k1, k2} inside the triangle.
-        if (!SpanOnly || r1.stratum != r2.stratum) {
-          covb += est * (inv_q1q2 - 1.0);
-        }
-      }
-    }
-
-    // Wedge {k1, k} at the shared endpoint v1.
-    if (!SpanOnly || r1.stratum != sh) {
-      const double west = inv_q * inv_q1;
-      nk_wed += west;
-      vk_wed += west * (west - 1.0);
-      ck_wed += run_wed * inv_q1;
-      run_wed += inv_q1;
-    }
-  });
-
-  graph.ForEachNeighbor(v2, [&](NodeId v3, SlotId slot_k2) {
-    if (v3 == v1) return;
-    const MergedRecord& r2 = sample.records[slot_k2];
-    if (SpanOnly && r2.stratum == sh) return;
-    const double inv_q2 = r2.inv_q;
-    const double west = inv_q * inv_q2;
-    nk_wed += west;
-    vk_wed += west * (west - 1.0);
-    ck_wed += run_wed * inv_q2;
-    run_wed += inv_q2;
-  });
-
-  const double pair_factor = 2.0 * inv_q * (inv_q - 1.0);
-  EdgeTerms t;
-  t.n_tri = nk_tri;
-  t.v_tri = vk_tri;
-  t.c_tri = ck_tri * pair_factor;
-  t.n_wed = nk_wed;
-  t.v_wed = vk_wed;
-  t.c_wed = ck_wed * pair_factor;
-  t.cov_pairs = (run_tri * run_wed - d_contained) * inv_q * (inv_q - 1.0);
-  t.cov_contained = covb;
-  return t;
-}
+  double inv_q(SlotId slot) const { return records[slot].inv_q; }
+  uint64_t stratum(SlotId slot) const { return records[slot].stratum; }
+};
 
 // The per-edge terms are independent (the paper's "abundant parallelism"),
 // so they are computed on every available core and folded in slot order:
@@ -219,8 +133,11 @@ EdgeTerms MergedEdgeTerms(const MergedSample& sample, SlotId slot_k) {
 template <bool SpanOnly>
 GraphEstimates EstimateOverSample(const MergedSample& sample) {
   const size_t n = sample.order.size();
+  const MergedRecords records{sample.records.data()};
   return SumEdgeTerms(n, UnionPassThreads(n), [&](size_t i) {
-    return MergedEdgeTerms<SpanOnly>(sample, sample.order[i]);
+    const SlotId slot = sample.order[i];
+    return ComputeEdgeTerms<SpanOnly>(sample.graph, records,
+                                      sample.records[slot].edge, slot);
   });
 }
 

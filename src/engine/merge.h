@@ -156,7 +156,8 @@ GraphEstimates EstimateCrossShard(const UnionSample& sample);
 
 /// Post-stream estimates of ALL subgraphs from the union of the shard
 /// reservoirs. With a single shard this equals EstimatePostStream bit for
-/// bit (same edge order, same per-edge terms).
+/// bit: same edge order, and both run core/edge_terms.h ComputeEdgeTerms
+/// (tests/engine_merge_bits_test.cc).
 GraphEstimates EstimateMergedPostStream(
     std::span<const GpsReservoir* const> shards);
 

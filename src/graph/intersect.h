@@ -3,7 +3,13 @@
 // Every arriving edge pays for |Γ̂(v1) ∩ Γ̂(v2)| — the paper's sampled
 // common-neighborhood query that drives both the GPS weight W(k, K̂) and the
 // Algorithm-3 snapshot updates — so this is the per-arrival hot path on
-// hub-heavy graphs. The adjacency blocks (graph/sampled_graph.h) are
+// hub-heavy graphs. The post-stream passes ask the same query once per
+// sampled edge (Algorithm 2 lines 5-9; core/edge_terms.h, and the local
+// triangle counts of core/local_counts.cc): the single-reservoir pass, the
+// cross-shard correction, the merged union pass and so every monitor tick
+// and checkpoint merge. They pass no metrics, so the counters below count
+// per-arrival work only and the pass threads share no counter. The
+// adjacency blocks (graph/sampled_graph.h) are
 // contiguous, neighbor-sorted, 8-byte-entry arrays: exactly the layout
 // set-intersection kernels want. Three kernels, picked per call:
 //
@@ -39,8 +45,9 @@
 // comparisons-saved tally (scalar-merge cost na+nb minus the comparisons
 // the chosen kernel actually performed) live in an IntersectMetrics owned
 // by each SampledGraph, registered with the engine's MetricsRegistry and
-// surfaced as the intersect.comparisons_saved gauge. Observation-only;
-// no-ops under -DGPS_METRICS=0.
+// surfaced as the intersect.comparisons_saved gauge. Only the per-arrival
+// path (SampledGraph::ForEachCommonNeighbor / CountCommonNeighbors)
+// records into them. Observation-only; no-ops under -DGPS_METRICS=0.
 
 #ifndef GPS_GRAPH_INTERSECT_H_
 #define GPS_GRAPH_INTERSECT_H_

@@ -22,6 +22,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -215,6 +216,33 @@ TEST(MergeBitsTest, PostStreamMatchesSerialGoldenAtEveryThreadCount) {
     SCOPED_TRACE(threads);
     ExpectGolden("post",
                  EstimatePostStreamParallel(sampler.reservoir(), threads));
+  }
+}
+
+// merge.h promises EstimateMergedPostStream({r}) == EstimatePostStream(r)
+// bit for bit: one union-ordered pass over one shard is the reservoir's
+// own pass. Checked directly, on a BA and a hub-heavy Chung-Lu stream at
+// two capacities each.
+TEST(MergeBitsTest, SingleShardMergedPostStreamIsPostStream) {
+  const std::vector<Edge> hub_stream = MakePermutedStream(
+      GenerateChungLu(3000, 30000, 2.0, 1211).value(), 1212);
+  const std::vector<std::pair<const char*, const std::vector<Edge>*>>
+      streams = {{"ba", &Stream()}, {"chung-lu", &hub_stream}};
+  for (const auto& [name, stream] : streams) {
+    for (const size_t capacity : {size_t{3000}, size_t{15000}}) {
+      SCOPED_TRACE(std::string(name) + " capacity " +
+                   std::to_string(capacity));
+      GpsSamplerOptions options;
+      options.capacity = capacity;
+      options.seed = kSamplerSeed;
+      GpsSampler sampler(options);
+      for (const Edge& e : *stream) sampler.Process(e);
+      ASSERT_EQ(sampler.reservoir().size(), capacity);
+      const GpsReservoir* const one[] = {&sampler.reservoir()};
+      const GraphEstimates post = EstimatePostStream(sampler.reservoir());
+      EXPECT_GT(post.triangles.value, 0.0);
+      engine_test::ExpectExactlyEqual(EstimateMergedPostStream(one), post);
+    }
   }
 }
 

@@ -3,8 +3,9 @@
 // two-pointer reference, across adversarial block shapes — size ratios
 // 1:1 … 1:1024, empty/disjoint/identical blocks, runs of near-adjacent
 // ids, unaligned block offsets — plus the byte-identity contract on the
-// in-stream estimator and the sharded engine (forced kernels must produce
-// bit-identical estimates and manifests).
+// in-stream estimator, the post-stream and cross-shard passes, and the
+// sharded engine (forced kernels must produce bit-identical estimates and
+// manifests).
 
 #include "graph/intersect.h"
 
@@ -12,14 +13,20 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/gps.h"
 #include "core/in_stream.h"
+#include "core/post_stream.h"
+#include "engine/merge.h"
 #include "engine/sharded_engine.h"
 #include "engine_test_util.h"
 #include "gen/generators.h"
@@ -367,6 +374,161 @@ TEST(IntersectByteIdentityTest, ShardedEngineEstimatesAndManifests) {
   }
   ASSERT_FALSE(manifests.empty());
   EXPECT_FALSE(manifests[0].empty());
+}
+
+// ---- The post-stream and cross-shard passes -----------------------------
+
+// A hub-heavy Chung-Lu stream: its sampled hubs give blocks hundreds of
+// entries long next to small ones (gallop) and hub-hub edges of
+// comparable blocks (simd).
+const std::vector<Edge>& HubStream() {
+  static const std::vector<Edge> stream = [] {
+    EdgeList graph = GenerateChungLu(3000, 30000, 2.0, 191).value();
+    return MakePermutedStream(graph, 192);
+  }();
+  return stream;
+}
+
+constexpr size_t kHubCapacity = 12000;
+constexpr uint64_t kHubSeed = 193;
+
+std::unique_ptr<GpsSampler> RunHubSampler() {
+  GpsSamplerOptions options;
+  options.capacity = kHubCapacity;
+  options.seed = kHubSeed;
+  auto sampler = std::make_unique<GpsSampler>(options);
+  for (const Edge& e : HubStream()) sampler->Process(e);
+  return sampler;
+}
+
+std::unique_ptr<ShardedEngine> RunHubEngine(uint32_t shards) {
+  ShardedEngineOptions options;
+  options.sampler.capacity = kHubCapacity;
+  options.sampler.seed = kHubSeed;
+  options.num_shards = shards;
+  auto engine = std::make_unique<ShardedEngine>(options);
+  engine->ProcessEdges(HubStream());
+  engine->Finish();
+  return engine;
+}
+
+std::vector<const GpsReservoir*> Reservoirs(const ShardedEngine& engine) {
+  std::vector<const GpsReservoir*> out;
+  for (uint32_t s = 0; s < engine.num_shards(); ++s) {
+    out.push_back(&engine.shard(s).reservoir());
+  }
+  return out;
+}
+
+TEST(IntersectByteIdentityTest, PostStreamAndCrossShardPassesAcrossKernels) {
+  // The fixture must drive every kernel under auto dispatch: a sampled
+  // block of >= 256 entries, an edge whose blocks are skewed past the
+  // gallop ratio, and one whose blocks are comparable and >= 16 long.
+  {
+    const std::unique_ptr<GpsSampler> sampler = RunHubSampler();
+    const SampledGraph& graph = sampler->reservoir().graph();
+    size_t max_block = 0;
+    bool gallop = false, comparable = false;
+    sampler->reservoir().ForEachEdge(
+        [&](SlotId, const GpsReservoir::EdgeRecord& rec) {
+          const size_t du = graph.Degree(rec.edge.u);
+          const size_t dv = graph.Degree(rec.edge.v);
+          max_block = std::max({max_block, du, dv});
+          const size_t small = std::min(du, dv);
+          const size_t large = std::max(du, dv);
+          gallop |= large / small >= intersect_detail::kGallopRatio;
+          comparable |= small >= intersect_detail::kSimdMinSize &&
+                        large / small < intersect_detail::kGallopRatio;
+        });
+    ASSERT_GE(max_block, 256u);
+    ASSERT_TRUE(gallop);
+    ASSERT_TRUE(comparable);
+  }
+
+  struct Run {
+    GraphEstimates post, post4, cross, merged_post, engine, restored;
+  };
+  std::vector<Run> runs;
+  for (const IntersectKernel kernel : ForcibleKernels()) {
+    SCOPED_TRACE(IntersectKernelName(kernel));
+    KernelGuard guard;
+    SetIntersectKernel(kernel);
+    Run run;
+    const std::unique_ptr<GpsSampler> sampler = RunHubSampler();
+    run.post = EstimatePostStream(sampler->reservoir());
+    run.post4 = EstimatePostStreamParallel(sampler->reservoir(), 4);
+
+    const std::unique_ptr<ShardedEngine> engine = RunHubEngine(3);
+    const std::vector<const GpsReservoir*> reservoirs = Reservoirs(*engine);
+    run.cross = EstimateCrossShard(reservoirs);
+    run.merged_post = EstimateMergedPostStream(reservoirs);
+    run.engine = engine->MergedEstimates();
+    const std::filesystem::path dir = engine_test::FreshDir(
+        "intersect_post", IntersectKernelName(kernel));
+    ASSERT_TRUE(engine->SerializeShards(dir.string()).ok());
+    const std::vector<std::string> manifests = {
+        engine_test::ManifestPath(dir)};
+    const Result<GraphEstimates> restored =
+        ShardedEngine::MergeFromCheckpoints(manifests);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    run.restored = *restored;
+    std::filesystem::remove_all(dir);
+
+    engine_test::ExpectExactlyEqual(run.post4, run.post);
+    engine_test::ExpectExactlyEqual(run.restored, run.engine);
+    EXPECT_GT(run.cross.triangles.value, 0.0);
+    runs.push_back(run);
+  }
+  for (size_t k = 1; k < runs.size(); ++k) {
+    SCOPED_TRACE(k);
+    engine_test::ExpectExactlyEqual(runs[k].post, runs[0].post);
+    engine_test::ExpectExactlyEqual(runs[k].cross, runs[0].cross);
+    engine_test::ExpectExactlyEqual(runs[k].merged_post, runs[0].merged_post);
+    engine_test::ExpectExactlyEqual(runs[k].engine, runs[0].engine);
+    engine_test::ExpectExactlyEqual(runs[k].restored, runs[0].restored);
+  }
+}
+
+// The post-stream passes intersect with no metrics attached, so the
+// intersect.* counters (--stats, the per-layer benchmark) count
+// per-arrival work only, and pass threads share no counter.
+std::vector<std::pair<std::string, double>> IntersectMetricValues(
+    const MetricsSnapshot& snapshot) {
+  std::vector<std::pair<std::string, double>> out;
+  for (const auto& c : snapshot.counters) {
+    if (c.name.starts_with("intersect.")) {
+      out.emplace_back(c.name, static_cast<double>(c.value));
+    }
+  }
+  for (const auto& g : snapshot.gauges) {
+    if (g.name.starts_with("intersect.")) out.emplace_back(g.name, g.value);
+  }
+  return out;
+}
+
+TEST(IntersectKernelTest, PostStreamPassesLeaveIntersectCountersAlone) {
+  if (!MetricsEnabled()) GTEST_SKIP() << "built with GPS_METRICS=0";
+  const std::unique_ptr<GpsSampler> sampler = RunHubSampler();
+  const IntersectMetrics& metrics =
+      *sampler->reservoir().graph().intersect_metrics();
+  const uint64_t merge = metrics.merge_calls.Value();
+  const uint64_t gallop = metrics.gallop_calls.Value();
+  const uint64_t simd = metrics.simd_calls.Value();
+  const uint64_t saved = metrics.comparisons_saved.Value();
+  ASSERT_GT(merge + gallop + simd, 0u);
+  EstimatePostStream(sampler->reservoir());
+  EstimatePostStreamParallel(sampler->reservoir(), 4);
+  EXPECT_EQ(metrics.merge_calls.Value(), merge);
+  EXPECT_EQ(metrics.gallop_calls.Value(), gallop);
+  EXPECT_EQ(metrics.simd_calls.Value(), simd);
+  EXPECT_EQ(metrics.comparisons_saved.Value(), saved);
+
+  const std::unique_ptr<ShardedEngine> engine = RunHubEngine(3);
+  const auto before = IntersectMetricValues(engine->SnapshotMetrics());
+  ASSERT_FALSE(before.empty());
+  engine->MergedEstimates();
+  EstimateMergedPostStream(Reservoirs(*engine));
+  EXPECT_EQ(IntersectMetricValues(engine->SnapshotMetrics()), before);
 }
 
 }  // namespace
